@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SizeCapError
+from .ising import _walsh_hadamard
 
 ROTATION_GATES = {"RY", "RZ", "RZZ", "MULTIRZ"}
 PLAIN_GATES = {"CX", "SWAP"}
@@ -137,29 +138,35 @@ def _swap_blocks(a: np.ndarray, b: np.ndarray):
 def _permutation_phase_action(gates, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(target index, phase) per basis state for a CX/SWAP/diagonal circuit.
 
-    Such circuits map |x> to exp(-i phi(x)) |M(x)>; tracking the index
-    image M and accumulated phase phi symbolically is O(gates * 2^n)
-    integer work instead of full statevector updates.
+    Such circuits map |x> to exp(-i phi(x)) |M(x)>.  The index image M is
+    tracked per basis state; each wire's value is also tracked as a GF(2)
+    linear form of the input bits (a mask), so a diagonal gate adds theta/2
+    at the XOR of its wires' forms and phi comes from one Walsh-Hadamard
+    transform at the end.
     """
     dim = 1 << n
     position = np.arange(dim, dtype=np.uint64)
-    phase = np.zeros(dim)
+    form = [1 << q for q in range(n)]
+    coeffs = np.zeros(dim)
     for g in gates:
         if g.name in DIAGONAL_GATES:
-            mask = np.uint64(sum(1 << q for q in g.qubits))
-            parity = (np.bitwise_count(position & mask) & 1).astype(float)
-            phase += (g.theta / 2) * (1 - 2 * parity)
+            mask = 0
+            for q in g.qubits:
+                mask ^= form[q]
+            coeffs[mask] += g.theta / 2
         elif g.name == "CX":
             control, target = g.qubits
+            form[target] ^= form[control]
             bit = (position >> np.uint64(control)) & np.uint64(1)
             position = position ^ (bit << np.uint64(target))
         else:  # SWAP
             a, b = g.qubits
+            form[a], form[b] = form[b], form[a]
             bit_a = (position >> np.uint64(a)) & np.uint64(1)
             bit_b = (position >> np.uint64(b)) & np.uint64(1)
             toggle = (bit_a ^ bit_b) * np.uint64((1 << a) | (1 << b))
             position = position ^ toggle
-    return position, phase
+    return position, _walsh_hadamard(coeffs)
 
 
 def apply_circuit(circ: CircuitIR, states: np.ndarray) -> np.ndarray:
@@ -182,24 +189,21 @@ def apply_circuit(circ: CircuitIR, states: np.ndarray) -> np.ndarray:
         out = np.empty_like(states)
         out[:, position] = states * np.exp(-1j * phase)
         return out
-    idx = np.arange(dim, dtype=np.uint64)
-
-    pending_phase: np.ndarray | None = None
+    # theta/2 per qubit mask of the current run of diagonal gates.
+    pending_coeffs: np.ndarray | None = None
 
     def flush_phase():
-        nonlocal pending_phase
-        if pending_phase is not None:
+        nonlocal pending_coeffs
+        if pending_coeffs is not None:
             states_view = states
-            states_view *= np.exp(-1j * pending_phase)
-            pending_phase = None
+            states_view *= np.exp(-1j * _walsh_hadamard(pending_coeffs))
+            pending_coeffs = None
 
     for g in circ.gates:
         if g.name in DIAGONAL_GATES:
-            mask = np.uint64(sum(1 << q for q in g.qubits))
-            parity = (np.bitwise_count(idx & mask) & 1).astype(float)
-            if pending_phase is None:
-                pending_phase = np.zeros(dim)
-            pending_phase += (g.theta / 2) * (1 - 2 * parity)
+            if pending_coeffs is None:
+                pending_coeffs = np.zeros(dim)
+            pending_coeffs[sum(1 << q for q in g.qubits)] += g.theta / 2
             continue
         flush_phase()
         if g.name == "RY":

@@ -66,12 +66,14 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _workers() -> int:
+def _workers(tasks: int) -> int:
+    """TANGLEWALK_WORKERS, clamped to [1, min(cpu count, tasks)]."""
     raw = os.environ.get("TANGLEWALK_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError as exc:
         raise ConfigError(f"TANGLEWALK_WORKERS must be an integer, got {raw!r}") from exc
+    return max(1, min(requested, os.cpu_count() or 1, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +233,7 @@ def cmd_sweep(args) -> int:
     poly, meta = _encode(g, args.kind, args.length, args)
     ps = [int(x) for x in args.p.split(",")]
     grid = [(b, c) for b in _parse_grid_axis(args.dbetas) for c in _parse_grid_axis(args.dgammas)]
-    workers = _workers()
+    workers = _workers(len(grid))
     if workers == 1 or len(grid) < 2 * workers:
         rows = _sweep_chunk((poly.to_dict(), meta, grid, ps))
     else:
@@ -348,7 +350,8 @@ class ExperimentConfig:
         """Parse a flat key = value file (a small TOML subset)."""
         values: dict[str, object] = {}
         try:
-            lines = open(path).read().splitlines()
+            with open(path) as fh:
+                lines = fh.read().splitlines()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         for lineno, raw in enumerate(lines, 1):
@@ -444,7 +447,7 @@ def cmd_pipeline(args) -> int:
     cfg.validate()
     cfg_dict = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
     payloads = [(cfg_dict, run_seed) for run_seed in cfg.seeds]
-    workers = _workers()
+    workers = _workers(len(payloads))
     if workers == 1 or len(payloads) == 1:
         results = [_pipeline_one(p) for p in payloads]
     else:

@@ -5,6 +5,17 @@ bit i (LSB first), bit value 0 maps to Z eigenvalue +1 and bit value 1
 to -1.  Substituting x_i -> (1 - Z_i)/2 turns a multilinear binary
 polynomial into a Z-term list whose computational-basis energies
 reproduce the binary cost exactly (dyadic-rational arithmetic).
+
+``diagonal`` scatters the constant and the term coefficients into a
+vector indexed by qubit mask and applies one in-place fast Walsh-Hadamard
+transform (Fino & Algazi, IEEE Trans. Computers 1976): O(n * 2^n) time
+whatever the term count, and a peak of 1.5 * 8 * 2^n bytes (the float64
+vector plus a half-length temporary).  The result is bit-identical to
+summing the terms one by one whenever every coefficient is dyadic and
+every partial sum is exact, which holds for all encodings built from
+integer weights and dyadic penalties.  Otherwise the energies can differ
+from a term-by-term sum in the last bits, by rounding of order
+n * eps * (|constant| + sum |coeff|).
 """
 
 from __future__ import annotations
@@ -113,15 +124,34 @@ def ising_energy(h: IsingPolynomial, x: Sequence[int]) -> float:
     return total
 
 
+def _walsh_hadamard(coeffs: np.ndarray) -> np.ndarray:
+    """In place: coeffs[x] <- sum over masks S of coeffs[S] * (-1)^|S & x|.
+
+    ``coeffs`` is a float64 vector of length 2^n indexed by qubit mask.
+    Each of the n butterfly passes maps a pair (a, b) split by one index
+    bit to (a + b, a - b), through one temporary of half the length.
+    """
+    half = coeffs.size >> 1
+    diff = np.empty(half)
+    stride = 1
+    while stride <= half:
+        pairs = coeffs.reshape(-1, 2, stride)
+        lo, hi = pairs[:, 0, :], pairs[:, 1, :]
+        tmp = diff.reshape(lo.shape)
+        np.subtract(lo, hi, out=tmp)
+        lo += hi
+        hi[...] = tmp
+        stride <<= 1
+    return coeffs
+
+
 def diagonal(h: IsingPolynomial, qubit_cap: int = DIAGONAL_QUBIT_CAP) -> np.ndarray:
     """Vector of all 2^n basis energies, index bit i = value of qubit i."""
     n = h.num_qubits
     if n > qubit_cap:
         raise SizeCapError(f"diagonal of {n} qubits exceeds cap {qubit_cap}")
-    idx = np.arange(1 << n, dtype=np.uint64)
-    energies = np.full(1 << n, float(h.constant))
+    coeffs = np.zeros(1 << n)
+    coeffs[0] = h.constant
     for qubits, coeff in h.terms.items():
-        mask = np.uint64(sum(1 << q for q in qubits))
-        parity = (np.bitwise_count(idx & mask) & 1).astype(np.int64)
-        energies += coeff * (1 - 2 * parity)
-    return energies
+        coeffs[sum(1 << q for q in qubits)] = coeff
+    return _walsh_hadamard(coeffs)

@@ -13,6 +13,7 @@ single state fits comfortably in memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -95,7 +96,7 @@ def simulate(
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (n,):
         raise DomainError(f"prior must have {n} entries, got shape {prior.shape}")
-    if np.any(prior < 0) or np.any(prior > 1):
+    if not np.all((prior >= 0) & (prior <= 1)):
         raise DomainError("prior probabilities must lie in [0, 1]")
     if energies is None:
         energies = diagonal(h, qubit_cap)
@@ -156,6 +157,8 @@ def sample(
     n = int(np.log2(len(probs)))
     if 1 << n != len(probs):
         raise DomainError("probability vector length must be a power of two")
+    if not np.all(np.isfinite(probs) & (probs >= 0)):
+        raise DomainError("probabilities must be finite and non-negative")
     if shots == 0:
         empty = np.array([], dtype=np.uint64)
         return SampleBatch(n, empty, empty.astype(np.int64), empty.astype(float), 0, iteration)
@@ -268,6 +271,10 @@ class RunConfig:
             raise DomainError("alpha must lie in (0, 1]")
         if self.iterations < 1:
             raise DomainError("iterations must be >= 1")
+        if not 0 <= self.epsilon < 0.5:
+            raise DomainError(f"epsilon must lie in [0, 0.5), got {self.epsilon}")
+        if not (math.isfinite(self.dbeta) and math.isfinite(self.dgamma)):
+            raise DomainError("dbeta and dgamma must be finite")
 
 
 @dataclass

@@ -76,6 +76,45 @@ def dense_cost_matrix(h) -> np.ndarray:
     return mat
 
 
+def parity_energies(h) -> np.ndarray:
+    """Basis energies term by term: one popcount parity pass per Z term."""
+    bits = all_assignments(h.num_qubits)
+    energies = np.full(1 << h.num_qubits, float(h.constant))
+    for qubits, coeff in h.terms.items():
+        parity = bits[:, list(qubits)].sum(axis=1) & 1
+        energies += coeff * (1 - 2 * parity)
+    return energies
+
+
+def dense_gate_matrix(gate, n) -> np.ndarray:
+    """Explicit 2^n x 2^n unitary of one gate (RZ/RZZ/MULTIRZ/RY/CX/SWAP)."""
+    if gate.name in ("RZ", "RZZ", "MULTIRZ"):
+        z = kron_chain([PAULI_Z if q in gate.qubits else I2 for q in range(n)])
+        return np.diag(np.exp(-0.5j * gate.theta * np.diag(z)))
+    if gate.name == "RY":
+        c, s = np.cos(gate.theta / 2), np.sin(gate.theta / 2)
+        ry = np.array([[c, -s], [s, c]])
+        return kron_chain([ry if q == gate.qubits[0] else I2 for q in range(n)])
+    mat = np.zeros((1 << n, 1 << n))
+    for src in range(1 << n):
+        bits = [(src >> q) & 1 for q in range(n)]
+        a, b = gate.qubits
+        if gate.name == "CX":
+            bits[b] ^= bits[a]
+        else:  # SWAP
+            bits[a], bits[b] = bits[b], bits[a]
+        mat[sum(bit << q for q, bit in enumerate(bits)), src] = 1.0
+    return mat
+
+
+def dense_circuit_unitary(circ) -> np.ndarray:
+    """Product of the per-gate dense matrices, first gate applied first."""
+    unitary = np.eye(1 << circ.num_qubits, dtype=complex)
+    for gate in circ.gates:
+        unitary = dense_gate_matrix(gate, circ.num_qubits) @ unitary
+    return unitary
+
+
 def dense_qaoa_distribution(h, prior, betas, gammas) -> np.ndarray:
     """Output distribution via explicit dense gate-matrix products."""
     n = h.num_qubits

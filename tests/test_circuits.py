@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanglewalk import (
     CircuitIR,
@@ -10,7 +12,7 @@ from tanglewalk import (
     verify_equivalence,
 )
 
-from helpers import kron_chain, PAULI_Z
+from helpers import PAULI_Z, dense_circuit_unitary, kron_chain
 
 
 def basis(n, index=0):
@@ -68,6 +70,41 @@ class TestApplyCircuit:
         out = apply_circuit(circ, basis(1))[0]
         assert out[0] == pytest.approx(np.cos(theta / 2))
         assert out[1] == pytest.approx(np.sin(theta / 2))
+
+
+@st.composite
+def random_circuit(draw, with_ry):
+    n = draw(st.integers(2, 5))
+    qubit = st.integers(0, n - 1)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+    angle = st.floats(-np.pi, np.pi, allow_nan=False)
+    gate = st.one_of(
+        st.builds(Gate, st.just("CX"), pair),
+        st.builds(Gate, st.just("SWAP"), pair),
+        st.builds(Gate, st.just("RZ"), st.tuples(qubit), angle),
+        st.builds(Gate, st.just("RZZ"), pair, angle),
+        st.builds(Gate, st.just("MULTIRZ"), st.lists(qubit, min_size=1, unique=True), angle),
+    )
+    gates = draw(st.lists(gate, max_size=24))
+    if with_ry:
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(gates)))
+            gates.insert(at, Gate("RY", (draw(qubit),), draw(angle)))
+    return CircuitIR(n, gates)
+
+
+class TestApplyCircuitAgainstDenseMatrices:
+    """Random circuits; without RY they take the permutation-and-phase path."""
+
+    @pytest.mark.parametrize("with_ry", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_gate_by_gate_product(self, with_ry, data):
+        circ = data.draw(random_circuit(with_ry))
+        dim = 1 << circ.num_qubits
+        out = apply_circuit(circ, np.eye(dim, dtype=complex))
+        # Row i of the output is the image of basis state i, i.e. column i of U.
+        assert np.abs(out - dense_circuit_unitary(circ).T).max() < 1e-12
 
 
 class TestMetrics:

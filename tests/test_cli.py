@@ -1,4 +1,6 @@
 import json
+import os
+import warnings
 
 import pytest
 
@@ -12,7 +14,7 @@ from tanglewalk import (
     to_ising,
     walk_cost,
 )
-from tanglewalk.cli import main
+from tanglewalk.cli import ExperimentConfig, _workers, main
 from tanglewalk.graphs import graph_to_dict, save_graph
 
 
@@ -189,6 +191,15 @@ class TestSweep:
         main(args + ["-o", str(pooled)])
         assert serial.read_bytes() == pooled.read_bytes()
 
+    @pytest.mark.parametrize(
+        "requested,tasks,expected",
+        [("1000000", 10**9, 4), ("1000000", 3, 3), ("3", 10**9, 3), ("0", 5, 1), ("-7", 5, 1)],
+    )
+    def test_worker_count_clamped(self, monkeypatch, requested, tasks, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("TANGLEWALK_WORKERS", requested)
+        assert _workers(tasks) == expected
+
     def test_bad_worker_env_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TANGLEWALK_WORKERS", "lots")
         code = main(
@@ -305,6 +316,15 @@ class TestPipeline:
         )
         assert main(["pipeline", "--config", str(cfg)]) == 0
         assert (tmp_path / "out.json").exists()
+
+    def test_config_file_is_closed(self, tmp_path):
+        cfg = tmp_path / "exp.toml"
+        cfg.write_text('kind = "qubo"\nshots = 7\n')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            parsed = ExperimentConfig.from_file(str(cfg))
+        assert (parsed.kind, parsed.shots) == ("qubo", 7)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "exp.toml"

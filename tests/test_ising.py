@@ -9,12 +9,25 @@ from tanglewalk import (
     SizeCapError,
     diagonal,
     encode_hubo,
+    encode_qubo,
     eval_binary,
+    default_walk_length,
+    generate_tangle,
     ising_energy,
     to_ising,
 )
 
-from helpers import all_assignments
+from helpers import all_assignments, dense_cost_matrix, parity_energies
+
+
+def random_ising(data, coeffs):
+    """IsingPolynomial on at most 8 qubits with coefficients drawn from ``coeffs``."""
+    n = data.draw(st.integers(0, 8))
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=24)) if n else []
+    h = IsingPolynomial(n, constant=data.draw(coeffs))
+    for mask in masks:
+        h.add_term([q for q in range(n) if mask >> q & 1], data.draw(coeffs))
+    return h
 
 
 def test_single_variable_substitution():
@@ -101,9 +114,36 @@ class TestDiagonal:
         # X pairs (0,2), (2,0), (1,3), (3,1) in LSB-first bit order
         assert set(np.flatnonzero(diag == 0).tolist()) == {8, 2, 13, 7}
 
+    def test_zero_qubits(self):
+        assert diagonal(IsingPolynomial(0, constant=2.5)).tolist() == [2.5]
+
     def test_cap(self):
         with pytest.raises(SizeCapError):
             diagonal(IsingPolynomial(5, {(0,): 1}), qubit_cap=4)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dyadic_polynomials_match_dense_matrix_exactly(self, data):
+        dyadic = st.integers(-4096, 4096).map(lambda k: k / 64)
+        h = random_ising(data, dyadic)
+        assert np.array_equal(diagonal(h), np.diag(dense_cost_matrix(h)))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_float_polynomials_agree_to_rounding(self, data):
+        h = random_ising(data, st.floats(-10, 10, allow_nan=False))
+        scale = abs(h.constant) + sum(abs(c) for c in h.terms.values())
+        assert np.abs(diagonal(h) - parity_energies(h)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "kind,seed,nodes",
+        [("qubo", 0, 2), ("qubo", 2, 2), ("qubo", 5, 2), ("hubo", 0, 3), ("hubo", 1, 3), ("hubo", 6, 3)],
+    )
+    def test_tangle_encodings_match_popcount_reference(self, kind, seed, nodes):
+        g = generate_tangle(seed, nodes)
+        T = default_walk_length(g)
+        h = to_ising(encode_qubo(g, T) if kind == "qubo" else encode_hubo(g, T))
+        assert np.array_equal(diagonal(h), parity_energies(h))
 
 
 def test_json_round_trip():

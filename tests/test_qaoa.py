@@ -136,6 +136,11 @@ class TestSimulate:
         with pytest.raises(SizeCapError):
             simulate(IsingPolynomial(8), np.full(8, 0.5), lr_schedule(1, 1, 1), qubit_cap=6)
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_prior_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(DomainError):
+            simulate(IsingPolynomial(2), np.array([0.5, bad]), lr_schedule(1, 1, 1))
+
 
 def encode_hubo_fixture():
     from tanglewalk import OrientedGraph
@@ -173,6 +178,11 @@ class TestSample:
     def test_multiplicities_sum_to_shots(self):
         batch = sample(np.full(16, 1 / 16), 999, 3, np.zeros(16))
         assert batch.counts.sum() == batch.shots == 999
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.25, np.inf])
+    def test_invalid_probabilities_rejected(self, bad):
+        with pytest.raises(DomainError):
+            sample(np.array([0.5, 0.75, bad, 0.0]), 10, 0, np.zeros(4))
 
 
 class TestCvarFilter:
@@ -267,6 +277,27 @@ class TestUpdatePrior:
         for q in range(n):
             if all((i >> q) & 1 for i in indices):
                 assert prior[q] == 0.85
+
+
+class TestRunConfigValidate:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"epsilon": -0.01},
+            {"epsilon": 0.5},
+            {"epsilon": float("nan")},
+            {"dbeta": float("inf")},
+            {"dbeta": float("nan")},
+            {"dgamma": float("-inf")},
+        ],
+    )
+    def test_rejects_out_of_domain_knobs(self, override):
+        config = RunConfig(**{"p": 1, "dbeta": 0.75, "dgamma": 0.3, "shots": 10, **override})
+        with pytest.raises(DomainError):
+            config.validate()
+
+    def test_accepts_clip_boundary_zero(self):
+        RunConfig(p=1, dbeta=0.75, dgamma=0.3, shots=10, epsilon=0.0).validate()
 
 
 class TestIterativeQaoa:

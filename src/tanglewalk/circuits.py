@@ -5,6 +5,15 @@ Gate set: RY/RZ (single-qubit rotations), CX, RZZ, SWAP, and MULTIRZ
 logical circuits).  Rotation conventions: RZ(theta) = exp(-i theta Z/2)
 and MULTIRZ(theta, S) = exp(-i theta/2 * prod_{q in S} Z_q), so an RZZ
 is exactly a two-qubit MULTIRZ.
+
+A circuit of CX, SWAP and diagonal gates maps |x> to exp(-i phi(x)) |A x>,
+with A in GL(n, GF(2)) and phi a sum of parity terms.  ``_parity_replay``
+captures both in O(gates * n) bit operations: it tracks each wire's value
+as a GF(2) linear form of the input bits and records the parity (mask) at
+which every diagonal gate rotates.  The permutation-and-phase simulator
+path, ``verify_equivalence`` (Amy, Maslov & Mosca, IEEE TCAD 2014) and the
+compiler's self-check of each diagonal run all use that one replay; only
+circuits containing RY are verified on dense statevector batches.
 """
 
 from __future__ import annotations
@@ -14,11 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SizeCapError
-from .ising import _walsh_hadamard
+from .ising import DIAGONAL_QUBIT_CAP, _walsh_hadamard
 
 ROTATION_GATES = {"RY", "RZ", "RZZ", "MULTIRZ"}
 PLAIN_GATES = {"CX", "SWAP"}
 DIAGONAL_GATES = {"RZ", "RZZ", "MULTIRZ"}
+PARITY_GATES = PLAIN_GATES | DIAGONAL_GATES  # the gates _parity_replay follows
 VERIFY_QUBIT_CAP = 10
 
 
@@ -135,37 +145,72 @@ def _swap_blocks(a: np.ndarray, b: np.ndarray):
     b[...] = tmp
 
 
-def _permutation_phase_action(gates, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(target index, phase) per basis state for a CX/SWAP/diagonal circuit.
+def _parity_replay(gates, forms: list[int]) -> list[tuple[int, float]]:
+    """(mask, theta) of each diagonal gate, in order; ``forms`` is updated in place.
 
-    Such circuits map |x> to exp(-i phi(x)) |M(x)>.  The index image M is
-    tracked per basis state; each wire's value is also tracked as a GF(2)
-    linear form of the input bits (a mask), so a diagonal gate adds theta/2
-    at the XOR of its wires' forms and phi comes from one Walsh-Hadamard
-    transform at the end.
+    ``forms[w]`` is wire w's value as a GF(2) linear form of the input bits,
+    a bit mask.  CX adds the control's form to the target's, SWAP exchanges
+    two forms, and a diagonal gate rotates about the parity given by the XOR
+    of its wires' forms.
     """
-    dim = 1 << n
-    position = np.arange(dim, dtype=np.uint64)
-    form = [1 << q for q in range(n)]
-    coeffs = np.zeros(dim)
+    phases = []
     for g in gates:
         if g.name in DIAGONAL_GATES:
             mask = 0
             for q in g.qubits:
-                mask ^= form[q]
-            coeffs[mask] += g.theta / 2
+                mask ^= forms[q]
+            phases.append((mask, g.theta))
         elif g.name == "CX":
             control, target = g.qubits
-            form[target] ^= form[control]
-            bit = (position >> np.uint64(control)) & np.uint64(1)
-            position = position ^ (bit << np.uint64(target))
-        else:  # SWAP
+            forms[target] ^= forms[control]
+        elif g.name == "SWAP":
             a, b = g.qubits
-            form[a], form[b] = form[b], form[a]
-            bit_a = (position >> np.uint64(a)) & np.uint64(1)
-            bit_b = (position >> np.uint64(b)) & np.uint64(1)
-            toggle = (bit_a ^ bit_b) * np.uint64((1 << a) | (1 << b))
-            position = position ^ toggle
+            forms[a], forms[b] = forms[b], forms[a]
+        else:
+            raise DomainError(f"{g.name} is not a CX, SWAP or diagonal gate")
+    return phases
+
+
+def _parity_table(coeffs: dict[int, float]) -> tuple[list[int], np.ndarray]:
+    """sum over masks S of coeffs[S] * (-1)^|S & x|, tabulated over the masks' support.
+
+    Returns the support (the bits set in any mask, ascending) and a table of
+    2^len(support) sums: entry y holds the sum for every x whose support
+    bits, packed in that order, read y.  Bits outside the support do not
+    change the sum, so one Walsh-Hadamard transform of 2^|support| entries
+    replaces one of 2^n.
+    """
+    union = 0
+    for mask in coeffs:
+        union |= mask
+    support = [q for q in range(union.bit_length()) if (union >> q) & 1]
+    if len(support) > DIAGONAL_QUBIT_CAP:
+        raise SizeCapError(
+            f"parity table over {len(support)} bits exceeds cap {DIAGONAL_QUBIT_CAP}"
+        )
+    table = np.zeros(1 << len(support))
+    for mask, coeff in coeffs.items():
+        table[sum(1 << i for i, q in enumerate(support) if (mask >> q) & 1)] += coeff
+    return support, _walsh_hadamard(table)
+
+
+def _permutation_phase_action(gates, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(target index, phase) per basis state for a CX/SWAP/diagonal circuit.
+
+    Such circuits map |x> to exp(-i phi(x)) |A x>.  The replay gives A as the
+    final wire forms and phi as theta/2 per mask, which one Walsh-Hadamard
+    transform turns into the phase of every basis state.
+    """
+    forms = [1 << q for q in range(n)]
+    coeffs = np.zeros(1 << n)
+    for mask, theta in _parity_replay(gates, forms):
+        coeffs[mask] += theta / 2
+    # x -> A x is linear over GF(2): fill the table one input bit at a time
+    # from the image of that bit (column i of A).
+    position = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        column = sum(((form >> i) & 1) << w for w, form in enumerate(forms))
+        position[1 << i : 2 << i] = position[: 1 << i] ^ column
     return position, _walsh_hadamard(coeffs)
 
 
@@ -175,7 +220,8 @@ def apply_circuit(circ: CircuitIR, states: np.ndarray) -> np.ndarray:
     Circuits made only of CX/SWAP/diagonal gates collapse to a single
     permutation plus phase; otherwise gates are applied in sequence with
     consecutive diagonal gates fused into one phase multiply and CX/SWAP
-    moving quarter-blocks of the state in place.
+    moving quarter-blocks of the state in place.  A fused run's phases are
+    tabulated over the qubits it touches only and broadcast over the rest.
     """
     n = circ.num_qubits
     dim = 1 << n
@@ -184,26 +230,28 @@ def apply_circuit(circ: CircuitIR, states: np.ndarray) -> np.ndarray:
         states = states[None, :]
     if states.shape[1] != dim:
         raise DomainError(f"states must have 2^{n} amplitudes")
-    if all(g.name in DIAGONAL_GATES or g.name in ("CX", "SWAP") for g in circ.gates):
+    if all(g.name in PARITY_GATES for g in circ.gates):
         position, phase = _permutation_phase_action(circ.gates, n)
         out = np.empty_like(states)
         out[:, position] = states * np.exp(-1j * phase)
         return out
     # theta/2 per qubit mask of the current run of diagonal gates.
-    pending_coeffs: np.ndarray | None = None
+    pending: dict[int, float] = {}
 
     def flush_phase():
-        nonlocal pending_coeffs
-        if pending_coeffs is not None:
-            states_view = states
-            states_view *= np.exp(-1j * _walsh_hadamard(pending_coeffs))
-            pending_coeffs = None
+        if pending:
+            support, table = _parity_table(pending)
+            # Axis 1 + k of the view is qubit n - 1 - k; the table's axes are
+            # its support qubits in the same descending order.
+            shape = [2 if q in support else 1 for q in reversed(range(n))]
+            view = states.reshape((states.shape[0],) + (2,) * n)
+            view *= np.exp(-1j * table).reshape(shape)
+            pending.clear()
 
     for g in circ.gates:
         if g.name in DIAGONAL_GATES:
-            if pending_coeffs is None:
-                pending_coeffs = np.zeros(dim)
-            pending_coeffs[sum(1 << q for q in g.qubits)] += g.theta / 2
+            mask = sum(1 << q for q in g.qubits)
+            pending[mask] = pending.get(mask, 0.0) + g.theta / 2
             continue
         flush_phase()
         if g.name == "RY":
@@ -271,8 +319,67 @@ def verify_equivalence(a, b, tol: float = 1e-8, qubit_cap: int = VERIFY_QUBIT_CA
 
     Accepts CircuitIR or CompiledCircuit; compiled circuits are compared
     through their logical-to-physical layouts, and any extra physical
-    qubits must return to |0>.  Every logical basis state is propagated
-    through both circuits.
+    qubits must return to |0>.
+
+    When both circuits hold only CX, SWAP and diagonal gates (every cost
+    layer and every compilation of one), the check is symbolic and exact
+    at any width.  ``_parity_replay`` starts logical bit l on its wire under
+    the initial layout and every other wire at the form 0.  The circuits
+    agree when the forms at the final layouts match, every other wire ends
+    at the form 0, and the difference d_S of the two angle maps (theta/2
+    summed per mask S) is a global phase.  For that, each nonzero-mask d_S
+    is reduced modulo pi, since a multiple of pi shifts every basis state's
+    phase by the same amount mod 2 pi.  If the residues sum to at most
+    tol/2, no relative phase moves by more than tol and the circuits agree.
+    Otherwise one Walsh-Hadamard transform over the residues' support
+    (capped at ising.DIAGONAL_QUBIT_CAP bits) gives every relative phase
+    delta(x), and the circuits agree when each |1 - e^{-i delta(x)}| is at
+    most tol, measured from x = 0.
+
+    Circuits containing RY are checked by ``_verify_dense``, which
+    propagates every logical basis state through both circuits and raises
+    SizeCapError above ``qubit_cap`` logical qubits.
+    """
+    circ_a, in_a, out_a = _as_physical(a)
+    circ_b, in_b, out_b = _as_physical(b)
+    n_logical = len(in_a)
+    if len(in_b) != n_logical:
+        return False
+    if any(g.name not in PARITY_GATES for g in circ_a.gates + circ_b.gates):
+        return _verify_dense(a, b, tol, qubit_cap)
+    replayed = []
+    for circ, start, end in ((circ_a, in_a, out_a), (circ_b, in_b, out_b)):
+        forms = [0] * circ.num_qubits
+        for logical, physical in start.items():
+            forms[physical] = 1 << logical
+        angles: dict[int, float] = {}
+        for mask, theta in _parity_replay(circ.gates, forms):
+            angles[mask] = angles.get(mask, 0.0) + theta / 2
+        outputs = [forms[end[q]] for q in range(n_logical)]
+        if any(forms[w] for w in set(range(circ.num_qubits)) - set(end.values())):
+            return False
+        replayed.append((outputs, angles))
+    (outputs_a, angles_a), (outputs_b, angles_b) = replayed
+    if outputs_a != outputs_b:
+        return False
+    residues = {}
+    for mask in angles_a.keys() | angles_b.keys():
+        diff = angles_a.get(mask, 0.0) - angles_b.get(mask, 0.0)
+        diff -= np.pi * round(diff / np.pi)
+        if mask and diff:
+            residues[mask] = diff
+    if sum(abs(r) for r in residues.values()) <= tol / 2:
+        return True
+    _, table = _parity_table(residues)
+    return bool(np.max(np.abs(1 - np.exp(-1j * (table - table[0])))) <= tol)
+
+
+def _verify_dense(a, b, tol: float = 1e-8, qubit_cap: int = VERIFY_QUBIT_CAP) -> bool:
+    """verify_equivalence on dense statevector batches, for any gate set.
+
+    Every logical basis state is propagated through both circuits: batches
+    of 2^n_logical x 2^n_physical amplitudes, so at most ``qubit_cap``
+    logical qubits.  Also the tests' reference for the symbolic check.
     """
     circ_a, in_a, out_a = _as_physical(a)
     circ_b, in_b, out_b = _as_physical(b)

@@ -315,6 +315,8 @@ class RunRecord:
                 "seed": self.config.seed,
                 "epsilon": self.config.epsilon,
                 "target_energy": self.config.target_energy,
+                "shift_energies": self.config.shift_energies,
+                "qubit_cap": self.config.qubit_cap,
             },
             "iterations": [
                 {

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import CircuitIR, Gate, metrics
+from .circuits import CircuitIR, Gate, _parity_replay, metrics
 from .errors import DomainError, TanglewalkError
 from .ising import IsingPolynomial
 from .qaoa import QaoaSchedule
@@ -411,20 +411,10 @@ def _verify_diagonal_run(gates: list[Gate], expected: list[tuple[int, float]], n
     it implements, and the CX network must restore the identity so the run
     stays diagonal.  Raises rather than silently emitting a wrong circuit.
     """
-    rows = [1 << q for q in range(n)]
-    realized: list[tuple[int, float]] = []
-    for g in gates:
-        if g.name == "CX":
-            control, target = g.qubits
-            rows[target] ^= rows[control]
-        elif g.name == "RZ":
-            realized.append((rows[g.qubits[0]], g.theta))
-        elif g.name == "RZZ":
-            a, b = g.qubits
-            realized.append((rows[a] ^ rows[b], g.theta))
-        else:
-            raise TanglewalkError(f"internal: {g.name} in a compiled diagonal run")
-    if rows != [1 << q for q in range(n)]:
+    identity = [1 << q for q in range(n)]
+    forms = list(identity)
+    realized = _parity_replay(gates, forms)
+    if forms != identity:
         raise TanglewalkError("internal: parity network does not restore the identity")
     if sorted(realized) != sorted(expected):
         raise TanglewalkError("internal: compiled rotations do not match the cost terms")
@@ -464,8 +454,8 @@ def compile_parity(
     Maximal runs of diagonal gates are compiled together so CX networks
     cancel between rotations; other gates pass through at their mapped
     positions.  ``layout`` pins the placement, otherwise a search
-    minimises the spread of rotation supports.  Falls back to the naive
-    ladder result in the rare case it wins on two-qubit count.
+    minimises the spread of rotation supports.  The result is always the
+    parity plan; ``compile_naive`` is the separate baseline.
     """
     if topo.num_qubits < circ.num_qubits:
         raise DomainError(
@@ -498,21 +488,12 @@ def compile_parity(
     if run:
         out.extend(_compile_diagonal_run(run, topo, place, order_cap))
 
-    result = CompiledCircuit(
+    return CompiledCircuit(
         CircuitIR(topo.num_qubits, out),
         initial_layout=dict(layout),
         final_layout=dict(place.l2p),
         method="parity",
     )
-    fallback = compile_naive(circ, topo)
-    if fallback.metrics["two_qubit_count"] < result.metrics["two_qubit_count"]:
-        return CompiledCircuit(
-            fallback.circuit,
-            fallback.initial_layout,
-            fallback.final_layout,
-            method="parity-fallback",
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,15 @@ class TestIterativeQaoa:
         b = iterative_qaoa(h, "hubo", config, layout=layout)
         assert a.to_dict() == b.to_dict()
 
+    def test_record_config_reproduces_run_config(self, tangle2):
+        h = to_ising(encode_hubo(tangle2, 2))
+        config = RunConfig(
+            p=1, dbeta=0.75, dgamma=0.30, shots=50, iterations=1, seed=2,
+            target_energy=0.0, shift_energies=True, qubit_cap=12,
+        )
+        record = iterative_qaoa(h, "hubo", config, layout=HuboLayout.for_graph(tangle2, 2))
+        assert RunConfig(**record.to_dict()["config"]) == record.config
+
     def test_full_coverage_reaches_exhaustive_minimum(self, tangle2):
         h = to_ising(encode_hubo(tangle2, 2))
         layout = HuboLayout.for_graph(tangle2, 2)

@@ -163,11 +163,15 @@ def compile_naive(
     )
 
 
-def _initial_layout(circ: CircuitIR, topo: Topology, seed: int | None) -> dict[int, int]:
+def _check_fits(circ: CircuitIR, topo: Topology):
     if topo.num_qubits < circ.num_qubits:
         raise DomainError(
             f"topology has {topo.num_qubits} qubits, circuit needs {circ.num_qubits}"
         )
+
+
+def _initial_layout(circ: CircuitIR, topo: Topology, seed: int | None) -> dict[int, int]:
+    _check_fits(circ, topo)
     if seed is None:
         return {q: q for q in range(circ.num_qubits)}
     rng = np.random.default_rng(seed)
@@ -314,23 +318,34 @@ def _plan_rotation(topo: Topology, support: frozenset[int], theta: float) -> _Ro
     return candidates[0][1]
 
 
-def _prefix_overlap(a: _RotationPlan, b: _RotationPlan) -> int:
-    count = 0
-    for ga, gb in zip(a.network, b.network):
-        if ga == gb:
-            count += 1
-        else:
-            break
-    return count
-
-
 def _order_plans(plans: list[_RotationPlan], order_cap: int) -> list[int]:
-    """Order rotations to maximise shared network prefixes between neighbours."""
+    """Order rotations to maximise shared network prefixes between neighbours.
+
+    Each network is a row of gate ids (padded, with a validity mask), and a
+    plan's prefix overlaps with all plans are computed only when it becomes
+    a chain end, so memory is O(m*L) for m networks of at most L gates.
+    """
     m = len(plans)
     if m <= 1:
         return list(range(m))
-    overlap = [[_prefix_overlap(plans[i], plans[j]) for j in range(m)] for i in range(m)]
+    gate_ids: dict[Gate, int] = {}
+    # At least one column, so that column 0 exists when every network is empty.
+    ids = np.full((m, max(len(p.network) for p in plans) or 1), -1)
+    valid = np.zeros(ids.shape, dtype=bool)
+    for i, plan in enumerate(plans):
+        k = len(plan.network)
+        ids[i, :k] = [gate_ids.setdefault(g, len(gate_ids)) for g in plan.network]
+        valid[i, :k] = True
+
+    def overlap_row(i: int) -> np.ndarray:
+        row = np.zeros(m, dtype=int)
+        # Only networks opening with plan i's first gate can overlap it.
+        same = np.flatnonzero(valid[:, 0] & (ids[:, 0] == ids[i, 0]))
+        row[same] = np.cumprod((ids[same] == ids[i]) & valid[same], axis=1).sum(axis=1)
+        return row
+
     if m <= order_cap:
+        overlap = [overlap_row(i).tolist() for i in range(m)]
         best_order, best_score = None, -1
         for perm in itertools.permutations(range(m)):
             score = sum(overlap[a][b] for a, b in zip(perm, perm[1:]))
@@ -338,27 +353,22 @@ def _order_plans(plans: list[_RotationPlan], order_cap: int) -> list[int]:
                 best_order, best_score = perm, score
         return list(best_order)
     # Greedy chain growth: extend whichever end gains the most overlap.
-    remaining = set(range(m))
+    # argmax picks the first maximum, i.e. the smallest index among ties.
+    remaining = np.ones(m, dtype=bool)
+    remaining[0] = False
     chain = [0]
-    remaining.discard(0)
-    while remaining:
-        head, tail = chain[0], chain[-1]
-        best = max(
-            ((overlap[tail][c], -c, c, "tail") for c in remaining),
-            key=lambda item: item[:2],
-        )
-        best_head = max(
-            ((overlap[head][c], -c, c, "head") for c in remaining),
-            key=lambda item: item[:2],
-        )
-        if best_head[:2] > best[:2]:
-            best = best_head
-        _, _, chosen, side = best
-        if side == "tail":
-            chain.append(chosen)
+    head_row = tail_row = overlap_row(0)
+    for _ in range(m - 1):
+        h = int(np.argmax(np.where(remaining, head_row, -1)))
+        t = int(np.argmax(np.where(remaining, tail_row, -1)))
+        if (head_row[h], -h) > (tail_row[t], -t):
+            chain.insert(0, h)
+            remaining[h] = False
+            head_row = overlap_row(h)
         else:
-            chain.insert(0, chosen)
-        remaining.discard(chosen)
+            chain.append(t)
+            remaining[t] = False
+            tail_row = overlap_row(t)
     return chain
 
 
@@ -457,10 +467,7 @@ def compile_parity(
     minimises the spread of rotation supports.  The result is always the
     parity plan; ``compile_naive`` is the separate baseline.
     """
-    if topo.num_qubits < circ.num_qubits:
-        raise DomainError(
-            f"topology has {topo.num_qubits} qubits, circuit needs {circ.num_qubits}"
-        )
+    _check_fits(circ, topo)
     if layout is None:
         layout = (
             search_layout(circ, topo) if layout_search else _initial_layout(circ, topo, None)
@@ -512,24 +519,37 @@ def rotation_supports(circ: CircuitIR) -> list[frozenset[int]]:
 def search_layout(circ: CircuitIR, topo: Topology) -> dict[int, int]:
     """Placement minimising pairwise distance inside rotation supports.
 
-    Tries every injective assignment when the candidate count is small,
-    otherwise greedy placement by interaction affinity followed by
-    pairwise-improvement passes.  Deterministic throughout.
+    The objective, the sum over supports of the distances between their
+    placed qubits, is the quadratic-assignment cost
+    sum_{a<b} w_ab * dist(p_a, p_b), where w_ab counts the supports that
+    hold both a and b.  Tries every injective assignment when the candidate
+    count is small, otherwise greedy placement by interaction affinity
+    followed by pairwise-improvement passes; each trial move is scored by
+    its O(n) change over the weights of the one or two moved qubits
+    (Taillard 1991).  Deterministic throughout.
     """
+    _check_fits(circ, topo)
     n_log, n_phys = circ.num_qubits, topo.num_qubits
     supports = rotation_supports(circ)
     if not supports:
         return {q: q for q in range(n_log)}
     dist = [topo.distances_from(p) for p in range(n_phys)]
+    affinity = [[0] * n_log for _ in range(n_log)]
+    for sup in supports:
+        for a in sup:
+            for b in sup:
+                if a != b:
+                    affinity[a][b] += 1
+    pairs = [
+        (a, b, affinity[a][b])
+        for a in range(n_log)
+        for b in range(a + 1, n_log)
+        if affinity[a][b]
+    ]
+    neighbours = [[(b, w) for b, w in enumerate(row) if w] for row in affinity]
 
-    def objective(assign: dict[int, int]) -> int:
-        total = 0
-        for sup in supports:
-            qs = [assign[q] for q in sup]
-            for i, a in enumerate(qs):
-                for b in qs[i + 1 :]:
-                    total += dist[a][b]
-        return total
+    def objective(assign: Sequence[int] | dict[int, int]) -> int:
+        return sum(w * dist[assign[a]][assign[b]] for a, b, w in pairs)
 
     count = 1
     for k in range(n_log):
@@ -537,20 +557,10 @@ def search_layout(circ: CircuitIR, topo: Topology) -> dict[int, int]:
         if count > EXHAUSTIVE_LAYOUT_CAP:
             break
     if count <= EXHAUSTIVE_LAYOUT_CAP:
-        best, best_score = None, None
-        for perm in itertools.permutations(range(n_phys), n_log):
-            assign = {q: perm[q] for q in range(n_log)}
-            score = objective(assign)
-            if best_score is None or score < best_score:
-                best, best_score = assign, score
-        return best
+        # min keeps the first of equal scores, in permutation order.
+        perm = min(itertools.permutations(range(n_phys), n_log), key=objective)
+        return {q: perm[q] for q in range(n_log)}
 
-    affinity = [[0] * n_log for _ in range(n_log)]
-    for sup in supports:
-        for a in sup:
-            for b in sup:
-                if a != b:
-                    affinity[a][b] += 1
     order = sorted(range(n_log), key=lambda q: (-sum(affinity[q]), q))
     eccentricity = [max(dist[p].values()) for p in range(n_phys)]
     centre = min(range(n_phys), key=lambda p: (eccentricity[p], p))
@@ -561,30 +571,44 @@ def search_layout(circ: CircuitIR, topo: Topology) -> dict[int, int]:
         for p in range(n_phys):
             if p in used:
                 continue
-            cost = sum(affinity[q][other] * dist[p][assign[other]] for other in assign)
+            cost = sum(w * dist[p][assign[b]] for b, w in neighbours[q] if b in assign)
             if best_cost is None or (cost, p) < (best_cost, best_p):
                 best_p, best_cost = p, cost
         assign[q] = best_p
         used.add(best_p)
 
-    candidates = [assign, {q: q for q in range(n_log)}]
-    best = min(candidates, key=objective)
-    best_score = objective(best)
+    best = min([assign, {q: q for q in range(n_log)}], key=objective)
+    holder_of = {p: q for q, p in best.items()}
     for _ in range(3):  # pairwise improvement passes
         improved = False
         spots = sorted(set(best.values()) | set(range(min(n_phys, n_log + 4))))
         for qa in range(n_log):
             for spot in spots:
-                trial = dict(best)
-                holder = next((q for q, p in trial.items() if p == spot), None)
+                holder = holder_of.get(spot)
                 if holder == qa:
                     continue
-                trial[qa], old = spot, trial[qa]
+                # qa moves old -> spot and holder spot -> old; their mutual
+                # distance is unchanged.
+                old = best[qa]
+                delta = sum(
+                    w * (dist[spot][best[c]] - dist[old][best[c]])
+                    for c, w in neighbours[qa]
+                    if c != holder
+                )
                 if holder is not None:
-                    trial[holder] = old
-                score = objective(trial)
-                if score < best_score:
-                    best, best_score = trial, score
+                    delta += sum(
+                        w * (dist[old][best[c]] - dist[spot][best[c]])
+                        for c, w in neighbours[holder]
+                        if c != qa
+                    )
+                if delta < 0:
+                    best[qa] = spot
+                    holder_of[spot] = qa
+                    if holder is None:
+                        del holder_of[old]
+                    else:
+                        best[holder] = old
+                        holder_of[old] = holder
                     improved = True
         if not improved:
             break

@@ -3,7 +3,13 @@
 Nothing here may call back into the production code paths it checks:
 polynomial scans walk all assignments directly, and the circuit oracle
 multiplies explicitly built dense matrices (scipy expm for the mixer).
+The compiler oracles at the end are the original full-rescan layout search
+and greedy plan ordering, kept as the reference the fast paths must match.
 """
+
+from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -167,3 +173,149 @@ def eval_clause(clause, assignment) -> bool:
     return any(
         (lit > 0) == bool(assignment.get(abs(lit), False)) for lit in clause
     )
+
+
+# ---------------------------------------------------------------------------
+# Compiler oracles: layout search that recomputes the objective for every
+# trial, and plan ordering over a full m x m prefix-overlap matrix.
+
+EXHAUSTIVE_LAYOUT_CAP = 5040
+
+
+def rotation_supports(circ: CircuitIR) -> list[frozenset[int]]:
+    """Logical qubit sets of all multi-qubit Z rotations in a circuit."""
+    return [
+        frozenset(g.qubits)
+        for g in circ.gates
+        if g.name in ("RZZ", "MULTIRZ") and len(g.qubits) >= 2
+    ]
+
+
+def full_rescan_search_layout(circ: CircuitIR, topo: Topology) -> dict[int, int]:
+    """Placement minimising pairwise distance inside rotation supports.
+
+    Tries every injective assignment when the candidate count is small,
+    otherwise greedy placement by interaction affinity followed by
+    pairwise-improvement passes.  Deterministic throughout.
+    """
+    n_log, n_phys = circ.num_qubits, topo.num_qubits
+    supports = rotation_supports(circ)
+    if not supports:
+        return {q: q for q in range(n_log)}
+    dist = [topo.distances_from(p) for p in range(n_phys)]
+
+    def objective(assign: dict[int, int]) -> int:
+        total = 0
+        for sup in supports:
+            qs = [assign[q] for q in sup]
+            for i, a in enumerate(qs):
+                for b in qs[i + 1 :]:
+                    total += dist[a][b]
+        return total
+
+    count = 1
+    for k in range(n_log):
+        count *= n_phys - k
+        if count > EXHAUSTIVE_LAYOUT_CAP:
+            break
+    if count <= EXHAUSTIVE_LAYOUT_CAP:
+        best, best_score = None, None
+        for perm in itertools.permutations(range(n_phys), n_log):
+            assign = {q: perm[q] for q in range(n_log)}
+            score = objective(assign)
+            if best_score is None or score < best_score:
+                best, best_score = assign, score
+        return best
+
+    affinity = [[0] * n_log for _ in range(n_log)]
+    for sup in supports:
+        for a in sup:
+            for b in sup:
+                if a != b:
+                    affinity[a][b] += 1
+    order = sorted(range(n_log), key=lambda q: (-sum(affinity[q]), q))
+    eccentricity = [max(dist[p].values()) for p in range(n_phys)]
+    centre = min(range(n_phys), key=lambda p: (eccentricity[p], p))
+    assign: dict[int, int] = {order[0]: centre}
+    used = {centre}
+    for q in order[1:]:
+        best_p, best_cost = None, None
+        for p in range(n_phys):
+            if p in used:
+                continue
+            cost = sum(affinity[q][other] * dist[p][assign[other]] for other in assign)
+            if best_cost is None or (cost, p) < (best_cost, best_p):
+                best_p, best_cost = p, cost
+        assign[q] = best_p
+        used.add(best_p)
+
+    candidates = [assign, {q: q for q in range(n_log)}]
+    best = min(candidates, key=objective)
+    best_score = objective(best)
+    for _ in range(3):  # pairwise improvement passes
+        improved = False
+        spots = sorted(set(best.values()) | set(range(min(n_phys, n_log + 4))))
+        for qa in range(n_log):
+            for spot in spots:
+                trial = dict(best)
+                holder = next((q for q, p in trial.items() if p == spot), None)
+                if holder == qa:
+                    continue
+                trial[qa], old = spot, trial[qa]
+                if holder is not None:
+                    trial[holder] = old
+                score = objective(trial)
+                if score < best_score:
+                    best, best_score = trial, score
+                    improved = True
+        if not improved:
+            break
+    return best
+
+
+def prefix_overlap(a: _RotationPlan, b: _RotationPlan) -> int:
+    count = 0
+    for ga, gb in zip(a.network, b.network):
+        if ga == gb:
+            count += 1
+        else:
+            break
+    return count
+
+
+def greedy_order_plans(plans: list[_RotationPlan], order_cap: int) -> list[int]:
+    """Order rotations to maximise shared network prefixes between neighbours."""
+    m = len(plans)
+    if m <= 1:
+        return list(range(m))
+    overlap = [[prefix_overlap(plans[i], plans[j]) for j in range(m)] for i in range(m)]
+    if m <= order_cap:
+        best_order, best_score = None, -1
+        for perm in itertools.permutations(range(m)):
+            score = sum(overlap[a][b] for a, b in zip(perm, perm[1:]))
+            if score > best_score:
+                best_order, best_score = perm, score
+        return list(best_order)
+    # Greedy chain growth: extend whichever end gains the most overlap.
+    remaining = set(range(m))
+    chain = [0]
+    remaining.discard(0)
+    while remaining:
+        head, tail = chain[0], chain[-1]
+        best = max(
+            ((overlap[tail][c], -c, c, "tail") for c in remaining),
+            key=lambda item: item[:2],
+        )
+        best_head = max(
+            ((overlap[head][c], -c, c, "head") for c in remaining),
+            key=lambda item: item[:2],
+        )
+        if best_head[:2] > best[:2]:
+            best = best_head
+        _, _, chosen, side = best
+        if side == "tail":
+            chain.append(chosen)
+        else:
+            chain.insert(0, chosen)
+        remaining.discard(chosen)
+    return chain

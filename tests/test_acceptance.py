@@ -299,6 +299,31 @@ def test_criterion_07_compiler_improvement():
     )
 
 
+def test_criterion_07_compiler_improvement_at_13_to_16_qubits():
+    # Criterion 07's bound on the widest layers its range names: the draw
+    # above only ever reaches 8-12 qubits.
+    layers = hubo_layers(20, 13, 16)
+    assert min(layer.num_qubits for layer in layers) >= 13
+    ratios = []
+    strict_wins = 0
+    for layer in layers:
+        topo = grid_for(layer.num_qubits)
+        parity = tw.compile_parity(layer, topo)
+        naive = tw.compile_naive(layer, topo)
+        ratios.append(
+            parity.metrics["two_qubit_depth"] / naive.metrics["two_qubit_depth"]
+        )
+        if parity.metrics["two_qubit_count"] < naive.metrics["two_qubit_count"]:
+            strict_wins += 1
+    median_ratio = float(np.median(ratios))
+    report(
+        "07 compiler improvement, 13-16 qubits",
+        median_ratio <= 0.70 and strict_wins == len(layers),
+        f"median 2q-depth ratio {median_ratio:.3f} (<= 0.70), "
+        f"strictly lower 2q-count on {strict_wins}/{len(layers)} grid instances",
+    )
+
+
 def test_criterion_08_interaction_chain_benchmark():
     sets = [(0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4), (1, 2, 3, 4)]
     circ = CircuitIR(

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from tanglewalk import (
     build_topology,
     compile_naive,
     compile_parity,
+    default_walk_length,
     encode_hubo,
     generate_tangle,
     lr_schedule,
@@ -17,9 +21,18 @@ from tanglewalk import (
     to_ising,
     verify_equivalence,
 )
-from tanglewalk.transpile import cost_layer_gates, search_layout
+from tanglewalk.transpile import (
+    DEFAULT_ORDER_CAP,
+    EXHAUSTIVE_LAYOUT_CAP,
+    _order_plans,
+    _plan_rotation,
+    _RotationPlan,
+    cost_layer_gates,
+    search_layout,
+)
 
-from helpers import dense_cost_matrix
+import test_acceptance as acceptance
+from helpers import dense_cost_matrix, full_rescan_search_layout, greedy_order_plans
 
 
 def hubo_cost_layer(seed, n_nodes=2, gamma=0.3, T=2):
@@ -251,3 +264,124 @@ class TestSearchLayout:
         layer, h = hubo_cost_layer(2, n_nodes=3)
         layout = search_layout(layer, build_topology("grid", (3, 3)))
         assert len(set(layout.values())) == h.num_qubits
+
+    @pytest.mark.parametrize("n_log, n_phys", [(5, 3), (9, 7)])
+    def test_rejects_topology_smaller_than_circuit(self, n_log, n_phys):
+        circ = CircuitIR(n_log, [Gate("MULTIRZ", (0, n_log - 1), 0.5)])
+        with pytest.raises(DomainError, match=f"topology has {n_phys} qubits, circuit needs {n_log}"):
+            search_layout(circ, build_topology("linear", n_phys))
+
+
+def hop_distances(topo) -> np.ndarray:
+    """All-pairs hop counts by Floyd-Warshall over the edge list."""
+    n = topo.num_qubits
+    d = np.full((n, n), n)
+    np.fill_diagonal(d, 0)
+    for a, b in topo.edges:
+        d[a, b] = d[b, a] = 1
+    for k in range(n):
+        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
+    return d
+
+
+def support_costs(circ, topo, placements: np.ndarray) -> np.ndarray:
+    """Pairwise-distance sum inside every rotation support, per placement row."""
+    d = hop_distances(topo)
+    total = np.zeros(len(placements), dtype=int)
+    for g in circ.gates:
+        if g.name in ("RZZ", "MULTIRZ") and len(g.qubits) >= 2:
+            for a, b in itertools.combinations(g.qubits, 2):
+                total += d[placements[:, a], placements[:, b]]
+    return total
+
+
+def assert_layout_matches_oracle(circ, topo):
+    new = search_layout(circ, topo)
+    old = full_rescan_search_layout(circ, topo)
+    assert list(new.items()) == list(old.items())
+    n = circ.num_qubits
+    chosen, identity = support_costs(circ, topo, np.array([[new[q] for q in range(n)], range(n)]))
+    assert chosen <= identity  # identity is always a candidate
+    if math.perm(topo.num_qubits, n) <= EXHAUSTIVE_LAYOUT_CAP:
+        every = np.array(list(itertools.permutations(range(topo.num_qubits), n)))
+        assert chosen == support_costs(circ, topo, every).min()
+
+
+class TestLayoutSearchMatchesOracle:
+    """The delta-scored search returns the full-rescan search's layout, item by item."""
+
+    def test_criterion_06_family(self):
+        exhaustive = 0
+        for layer in acceptance.hubo_layers(50, 4, 8):
+            n = layer.num_qubits
+            for topo in (
+                build_topology("linear", n),
+                acceptance.grid_for(n),
+                build_topology("heavy-hex", 1),
+            ):
+                assert_layout_matches_oracle(layer, topo)
+                exhaustive += math.perm(topo.num_qubits, n) <= EXHAUSTIVE_LAYOUT_CAP
+        assert exhaustive > 0
+
+    def test_criterion_07_family(self):
+        for layer in acceptance.hubo_layers(20, 8, 16):
+            assert_layout_matches_oracle(layer, acceptance.grid_for(layer.num_qubits))
+
+    @pytest.mark.parametrize(
+        "tangle_args, width",
+        [((2, 3, 2, 0.25), 18), ((0, 4, 2, 0.2), 21), ((8, 4, 2, 0.2), 24)],
+    )
+    @pytest.mark.parametrize("topo_args", [("heavy-hex", 2), ("grid", (5, 5))])
+    def test_wide_layers(self, tangle_args, width, topo_args):
+        g = generate_tangle(*tangle_args)
+        h = to_ising(encode_hubo(g, default_walk_length(g)))
+        assert h.num_qubits == width
+        layer = CircuitIR(width, cost_layer_gates(h, 0.3))
+        assert_layout_matches_oracle(layer, build_topology(*topo_args))
+
+
+def random_plans(rng, m: int, alphabet: int, max_len: int) -> list:
+    """Plans over a tiny CX alphabet, so prefix overlaps tie heavily."""
+    gates = [Gate("CX", (a, a + 1)) for a in range(alphabet)]
+    plans = []
+    for _ in range(m):
+        picks = rng.integers(0, alphabet, size=int(rng.integers(0, max_len + 1)))
+        plans.append(_RotationPlan(tuple(gates[i] for i in picks), Gate("RZ", (0,), 0.1)))
+    return plans
+
+
+class TestOrderPlansMatchesOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_greedy(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(DEFAULT_ORDER_CAP + 1, 60))
+        plans = random_plans(rng, m, int(rng.integers(1, 4)), int(rng.integers(0, 6)))
+        expected = greedy_order_plans(plans, DEFAULT_ORDER_CAP)
+        assert _order_plans(plans, DEFAULT_ORDER_CAP) == expected
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("order_cap", [0, DEFAULT_ORDER_CAP])
+    def test_random_small(self, seed, order_cap):
+        rng = np.random.default_rng(100 + seed)
+        plans = random_plans(rng, int(rng.integers(0, 8)), 2, 4)
+        assert _order_plans(plans, order_cap) == greedy_order_plans(plans, order_cap)
+
+    def test_all_networks_empty(self):
+        plans = random_plans(np.random.default_rng(0), 20, 1, 0)
+        assert _order_plans(plans, DEFAULT_ORDER_CAP) == list(range(20))
+
+    def test_plans_of_a_wide_layer(self):
+        g = generate_tangle(8, 4, 2, 0.2)
+        h = to_ising(encode_hubo(g, default_walk_length(g)))
+        layer = CircuitIR(h.num_qubits, cost_layer_gates(h, 0.3))
+        topo = build_topology("heavy-hex", 2)
+        layout = search_layout(layer, topo)
+        plans = [
+            _plan_rotation(topo, frozenset(layout[q] for q in gate.qubits), gate.theta)
+            for gate in layer.gates
+            if len(gate.qubits) > 1
+        ]
+        assert len(plans) > DEFAULT_ORDER_CAP
+        expected = greedy_order_plans(plans, DEFAULT_ORDER_CAP)
+        assert _order_plans(plans, DEFAULT_ORDER_CAP) == expected
+

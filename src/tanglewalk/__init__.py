@@ -7,7 +7,6 @@ gate sets.  Everything is deterministic given explicit seeds and is
 validated against brute-force oracles in the test suite.
 """
 
-from .annealing import simulated_annealing
 from .circuits import CircuitIR, Gate, apply_circuit, metrics, verify_equivalence
 from .encoding import (
     DecodedWalk,
@@ -22,7 +21,6 @@ from .encoding import (
 from .errors import (
     ConfigError,
     DomainError,
-    ExternalSolverError,
     GenerationError,
     SizeCapError,
     TanglewalkError,
@@ -35,20 +33,12 @@ from .graphs import (
     flip,
     generate_tangle,
     is_valid_walk,
-    load_graph,
-    save_graph,
     walk_cost,
 )
 from .ising import IsingPolynomial, diagonal, ising_energy, to_ising
-from .maxsat import (
-    MaxsatLayout,
-    enumerate_best_layout,
-    export_wcnf,
-    import_maxsat_layout,
-    suggest_swap_depth,
-)
+from .maxsat import export_wcnf
 from .noise import p_good, required_shots
-from .polynomials import BinaryPolynomial, eval_binary, load_polynomial, save_polynomial
+from .polynomials import BinaryPolynomial
 from .qaoa import (
     QaoaSchedule,
     RunConfig,
@@ -65,7 +55,7 @@ from .qaoa import (
     sweep,
     update_prior,
 )
-from .topology import Topology, build_topology, edge_colouring
+from .topology import Topology, build_topology
 from .transpile import (
     CompiledCircuit,
     compile_naive,

@@ -4,8 +4,7 @@ One subcommand per library capability plus an end-to-end ``pipeline``.
 All randomness flows through explicit seeds, outputs are canonical JSON
 or CSV, and reruns with the same flags are byte-identical.
 
-Exit codes: 0 ok, 2 configuration, 3 domain error, 4 size cap exceeded,
-5 external-solver problem.
+Exit codes: 0 ok, 2 configuration, 3 domain error, 4 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import maxsat
 from .encoding import HuboLayout, QuboLayout, decode_hubo, decode_qubo, encode_hubo, encode_qubo
-from .errors import ConfigError, DomainError, ExternalSolverError, SizeCapError
+from .errors import ConfigError, DomainError, SizeCapError
 from .graphs import (
     OrientedGraph,
     default_walk_length,
@@ -42,7 +41,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_SIZE = 4
-EXIT_SOLVER = 5
 
 DEFAULT_SCHEDULES = {"qubo": (0.63, 0.16), "hubo": (0.75, 0.30)}
 
@@ -60,9 +58,9 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -168,7 +166,7 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _run_solve(g: OrientedGraph, poly: BinaryPolynomial, meta: dict, args):
+def _run_solve(g: OrientedGraph, poly: BinaryPolynomial, meta: dict, args, run_seed: int):
     kind = meta["kind"]
     layout = _layout_from_meta(meta)
     dbeta, dgamma = _resolve_schedule(kind, args.dbeta, args.dgamma)
@@ -179,7 +177,7 @@ def _run_solve(g: OrientedGraph, poly: BinaryPolynomial, meta: dict, args):
         shots=args.shots,
         alpha=args.alpha,
         iterations=args.iters,
-        seed=args.run_seed,
+        seed=run_seed,
         target_energy=args.target,
     )
     h = to_ising(poly)
@@ -202,7 +200,7 @@ def cmd_solve(args) -> int:
     else:
         g = graph_from_dict(data)
         poly, meta = _encode(g, args.kind, args.length, args)
-    record = _run_solve(g, poly, meta, args)
+    record = _run_solve(g, poly, meta, args, args.run_seed)
     _write_json(record.to_dict(), args.output)
     if args.hist:
         with open(args.hist, "w") as fh:
@@ -213,11 +211,21 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid_axis(spec: str) -> list[float]:
-    if ":" in spec:
-        start, stop, num = spec.split(":")
-        return [float(x) for x in np.linspace(float(start), float(stop), int(num))]
-    return [float(x) for x in spec.split(",")]
+def _parse_int_list(spec: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in spec.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{flag} takes comma-separated integers, got {spec!r}") from exc
+
+
+def _parse_grid_axis(spec: str, flag: str) -> list[float]:
+    try:
+        if ":" in spec:
+            start, stop, num = spec.split(":")
+            return [float(x) for x in np.linspace(float(start), float(stop), int(num))]
+        return [float(x) for x in spec.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} takes a,b,c or start:stop:count, got {spec!r}") from exc
 
 
 def _sweep_chunk(payload):
@@ -231,8 +239,12 @@ def _sweep_chunk(payload):
 def cmd_sweep(args) -> int:
     g = _load_instance(args)
     poly, meta = _encode(g, args.kind, args.length, args)
-    ps = [int(x) for x in args.p.split(",")]
-    grid = [(b, c) for b in _parse_grid_axis(args.dbetas) for c in _parse_grid_axis(args.dgammas)]
+    ps = _parse_int_list(args.p, "--p")
+    grid = [
+        (b, c)
+        for b in _parse_grid_axis(args.dbetas, "--dbetas")
+        for c in _parse_grid_axis(args.dgammas, "--dgammas")
+    ]
     workers = _workers(len(grid))
     if workers == 1 or len(grid) < 2 * workers:
         rows = _sweep_chunk((poly.to_dict(), meta, grid, ps))
@@ -257,14 +269,17 @@ def cmd_sweep(args) -> int:
 
 def _parse_topology(spec: str):
     kind, _, size = spec.partition(":")
-    if kind == "linear":
-        return build_topology("linear", int(size))
-    if kind == "grid":
-        rows, _, cols = size.partition("x")
-        return build_topology("grid", (int(rows), int(cols)))
-    if kind in ("heavy-hex", "heavy_hex"):
-        return build_topology("heavy-hex", int(size))
-    raise ConfigError(f"unknown topology {spec!r} (try linear:N, grid:RxC, heavy-hex:C)")
+    if kind not in ("linear", "grid", "heavy-hex", "heavy_hex"):
+        raise ConfigError(f"unknown topology {spec!r} (try linear:N, grid:RxC, heavy-hex:C)")
+    try:
+        if kind == "grid":
+            rows, _, cols = size.partition("x")
+            size = (int(rows), int(cols))
+        else:
+            size = int(size)
+    except ValueError as exc:
+        raise ConfigError(f"malformed topology size in {spec!r}") from exc
+    return build_topology(kind, size)
 
 
 def cmd_compile(args) -> int:
@@ -320,6 +335,14 @@ def cmd_noise(args) -> int:
 # Pipeline
 
 
+_INT_KEYS = ("seed", "nodes", "max_weight", "length", "p", "shots", "iters")
+_REAL_KEYS = (
+    "density", "dbeta", "dgamma", "alpha", "target",
+    "one_hot_penalty", "edge_penalty", "hubo_penalty",
+)
+_OPTIONAL_KEYS = ("graph", "length", "dbeta", "dgamma", "target", "output")
+
+
 @dataclass
 class ExperimentConfig:
     """Round-trippable settings for an end-to-end run."""
@@ -343,7 +366,6 @@ class ExperimentConfig:
     edge_penalty: float = 5
     hubo_penalty: float = 10
     output: str | None = None
-    run_seed: int = 0  # populated per run
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -364,7 +386,12 @@ class ExperimentConfig:
             key = key.strip().replace("-", "_")
             value = value.strip()
             if key == "seeds":
-                values[key] = tuple(int(x) for x in value.strip("[]").split(",") if x.strip())
+                try:
+                    values[key] = tuple(
+                        int(x) for x in value.strip("[]").split(",") if x.strip()
+                    )
+                except ValueError:
+                    raise ConfigError(f"{path}:{lineno}: seeds must be integers, got {value!r}")
             elif value.startswith('"') and value.endswith('"'):
                 values[key] = value[1:-1]
             elif value in ("true", "false"):
@@ -386,6 +413,19 @@ class ExperimentConfig:
         return cls(**values)
 
     def validate(self):
+        for key, value in vars(self).items():
+            if value is None and key in _OPTIONAL_KEYS:
+                continue
+            if key in _INT_KEYS:
+                ok = type(value) is int
+            elif key in _REAL_KEYS:
+                ok = type(value) in (int, float)
+            elif key == "seeds":
+                ok = isinstance(value, tuple) and all(type(s) is int for s in value)
+            else:  # graph, kind, output
+                ok = isinstance(value, str)
+            if not ok:
+                raise ConfigError(f"config key {key} has a value of the wrong type: {value!r}")
         if self.kind not in ("qubo", "hubo"):
             raise ConfigError(f"kind must be qubo or hubo, got {self.kind!r}")
         if self.shots < 1 or self.iters < 1 or self.p < 1:
@@ -397,27 +437,13 @@ class ExperimentConfig:
 
 
 def _pipeline_one(payload):
-    cfg_dict, run_seed = payload
-    cfg = ExperimentConfig(**cfg_dict)
+    cfg, run_seed = payload
     if cfg.graph:
         g = graph_from_dict(_load_json(cfg.graph))
     else:
         g = generate_tangle(cfg.seed, cfg.nodes, cfg.max_weight, cfg.density)
-    args = argparse.Namespace(
-        one_hot_penalty=cfg.one_hot_penalty,
-        edge_penalty=cfg.edge_penalty,
-        hubo_penalty=cfg.hubo_penalty,
-        dbeta=cfg.dbeta,
-        dgamma=cfg.dgamma,
-        p=cfg.p,
-        shots=cfg.shots,
-        alpha=cfg.alpha,
-        iters=cfg.iters,
-        run_seed=run_seed,
-        target=cfg.target,
-    )
-    poly, meta = _encode(g, cfg.kind, cfg.length, args)
-    record = _run_solve(g, poly, meta, args)
+    poly, meta = _encode(g, cfg.kind, cfg.length, cfg)
+    record = _run_solve(g, poly, meta, cfg, run_seed)
     oracle = enumerate_optimal_walks(g, meta["T"])
     return record.to_dict(), oracle.min_cost
 
@@ -440,13 +466,12 @@ def cmd_pipeline(args) -> int:
             shots=args.shots,
             alpha=args.alpha,
             iters=args.iters,
-            seeds=tuple(int(s) for s in args.seeds.split(",")),
+            seeds=_parse_int_list(args.seeds, "--seeds"),
             target=args.target,
             output=args.output,
         )
     cfg.validate()
-    cfg_dict = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-    payloads = [(cfg_dict, run_seed) for run_seed in cfg.seeds]
+    payloads = [(cfg, run_seed) for run_seed in cfg.seeds]
     workers = _workers(len(payloads))
     if workers == 1 or len(payloads) == 1:
         results = [_pipeline_one(p) for p in payloads]
@@ -467,11 +492,8 @@ def cmd_pipeline(args) -> int:
             f"{walk.get('walk_cost', '-'):>10}"
         )
     if cfg.output:
-        saved_cfg = {
-            k: v
-            for k, v in cfg_dict.items()
-            if k not in ("output", "run_seed")
-        } | {"seeds": list(cfg.seeds)}
+        saved_cfg = {k: v for k, v in vars(cfg).items() if k != "output"}
+        saved_cfg["seeds"] = list(cfg.seeds)
         _write_json({"config": saved_cfg, "runs": runs}, cfg.output)
     return EXIT_OK
 
@@ -504,7 +526,6 @@ def _add_run_flags(sub):
     sub.add_argument("--shots", type=int, default=400)
     sub.add_argument("--alpha", type=float, default=0.1)
     sub.add_argument("--iters", type=int, default=5)
-    sub.add_argument("--run-seed", dest="run_seed", type=int, default=0)
     sub.add_argument("--target", type=float, default=None, help="stop once this energy is sampled")
 
 
@@ -534,6 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--graph", help="graph file when the input is a polynomial")
     _add_encode_flags(sub)
     _add_run_flags(sub)
+    sub.add_argument("--run-seed", dest="run_seed", type=int, default=0)
     sub.add_argument("-o", "--output", default="-")
     sub.add_argument("--hist", help="per-iteration energy histogram CSV")
     sub.set_defaults(func=cmd_solve)
@@ -563,15 +585,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("-o", "--output", default="-")
     sub.set_defaults(func=cmd_compile)
 
-    for name in ("noise", "noise-budget"):
-        sub = subs.add_parser(
-            name, help="oversampling requirements from 2q error rates"
-        )
-        sub.add_argument("--e", type=float, required=True)
-        sub.add_argument("--gates", type=int, required=True)
-        sub.add_argument("--good", type=int, default=4000)
-        sub.add_argument("-o", "--output", default="-")
-        sub.set_defaults(func=cmd_noise)
+    sub = subs.add_parser("noise", help="oversampling requirements from 2q error rates")
+    sub.add_argument("--e", type=float, required=True)
+    sub.add_argument("--gates", type=int, required=True)
+    sub.add_argument("--good", type=int, default=4000)
+    sub.add_argument("-o", "--output", default="-")
+    sub.set_defaults(func=cmd_noise)
 
     sub = subs.add_parser("pipeline", help="generate, encode, solve, decode, compare to oracle")
     sub.add_argument("--config", help="flat key = value config file")
@@ -595,9 +614,6 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except ExternalSolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto distinct exit codes (see ``tanglewalk.cli``), so
-new error conditions should reuse one of the classes below rather than
-raising bare ``ValueError``.
+The CLI maps these onto distinct exit codes (see ``tanglewalk.cli``):
+``ConfigError`` 2, ``DomainError`` 3 and ``SizeCapError`` 4.  New error
+conditions should reuse one of the classes below rather than raising bare
+``ValueError``.
 """
 
 
@@ -24,7 +25,3 @@ class GenerationError(DomainError):
 
 class SizeCapError(TanglewalkError):
     """A size cap (statevector width, enumeration budget, ...) was exceeded."""
-
-
-class ExternalSolverError(TanglewalkError):
-    """External MAX-SAT solver output could not be used."""

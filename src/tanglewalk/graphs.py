@@ -13,7 +13,6 @@ weight and the number of visits summed over both orientations.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -254,17 +253,3 @@ def graph_from_dict(data: dict) -> OrientedGraph:
             )
     return OrientedGraph(n, tuple(weights), frozenset(edge_set))
 
-
-def save_graph(g: OrientedGraph, path: str):
-    with open(path, "w") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_graph(path: str) -> OrientedGraph:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return graph_from_dict(data)

@@ -76,23 +76,6 @@ class IsingPolynomial:
             f"terms={len(self.terms)}, constant={self.constant})"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n_vars": self.num_qubits,
-            "constant": self.constant,
-            "terms": [
-                {"vars": list(mono), "c": coeff}
-                for mono, coeff in sorted(self.terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IsingPolynomial":
-        h = cls(data["n_vars"], constant=data.get("constant", 0))
-        for entry in data["terms"]:
-            h.add_term(entry["vars"], entry["c"])
-        return h
-
 
 def to_ising(p: BinaryPolynomial) -> IsingPolynomial:
     """Substitute x_i -> (1 - Z_i)/2 and collect Z terms.

@@ -1,4 +1,4 @@
-"""Weighted-CNF export of the layout-search problem, and solver-output import.
+"""Weighted-CNF export of the layout-search problem.
 
 The formula places logical qubits on physical qubits across ``d + 1``
 segments separated by SWAP layers.  Hard clauses enforce a valid
@@ -9,17 +9,17 @@ clause per interaction (order capped) rewards layouts placing its
 logical qubits on a connected physical set in some segment, which is
 exactly what parity collection needs to run without extra conduits.
 
-The MAX-SAT solver itself is external; ``enumerate_best_layout`` is a
-brute-force stand-in for small instances.
+The text is in the classic ``p wcnf`` format, for an external MAX-SAT
+solver; the package does not read solver models back.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import DomainError, ExternalSolverError
+from .errors import DomainError
 from .topology import Topology
 
 DEFAULT_MAX_ORDER = 6
@@ -46,15 +46,6 @@ class WcnfProblem:
     meta: WcnfMeta
 
 
-@dataclass
-class MaxsatLayout:
-    """Per-segment logical->physical maps recovered from a solver model."""
-
-    segments: list[dict[int, int]]
-    satisfied: list[int]
-    unsatisfied: list[int]
-
-
 def _connected_sets(topo: Topology, size: int) -> list[tuple[int, ...]]:
     """All connected physical-qubit sets of the given size, sorted."""
     found: set[tuple[int, ...]] = set()
@@ -72,39 +63,15 @@ def _connected_sets(topo: Topology, size: int) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def _positions_connected(topo: Topology, positions: Sequence[int]) -> bool:
-    todo = set(positions)
-    if not todo:
-        return True
-    stack = [min(todo)]
-    seen = set()
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        for nb in topo.neighbors(cur):
-            if nb in todo and nb not in seen:
-                stack.append(nb)
-    return seen == todo
-
-
 def export_wcnf(
     interactions: Iterable[Iterable[int]],
     topo: Topology,
     swap_depth: int = 0,
     max_order: int = DEFAULT_MAX_ORDER,
-    header: str = "classic",
 ) -> WcnfProblem:
-    """Encode the segmented layout search as weighted CNF text.
-
-    ``header`` selects the classic ``p wcnf`` preamble or the newer
-    h-prefixed hard-clause style.
-    """
+    """Encode the segmented layout search as weighted CNF text."""
     if swap_depth < 0:
         raise DomainError("swap depth must be >= 0")
-    if header not in ("classic", "2022"):
-        raise DomainError(f"unknown wcnf header style {header!r}")
     interactions = [tuple(sorted(set(i))) for i in interactions]
     logicals = sorted({q for i in interactions for q in i})
     num_logical = (max(logicals) + 1) if logicals else 0
@@ -172,19 +139,11 @@ def export_wcnf(
     hard.extend(aux_defs)
 
     top = len(soft) + 1
-    lines = []
-    if header == "classic":
-        lines.append(f"p wcnf {var} {len(hard) + len(soft)} {top}")
-        for clause in hard:
-            lines.append(f"{top} " + " ".join(str(x) for x in clause) + " 0")
-        for weight, clause in soft:
-            lines.append(f"{weight} " + " ".join(str(x) for x in clause) + " 0")
-    else:
-        lines.append(f"c wcnf with {var} vars, {len(hard)} hard, {len(soft)} soft")
-        for clause in hard:
-            lines.append("h " + " ".join(str(x) for x in clause) + " 0")
-        for weight, clause in soft:
-            lines.append(f"{weight} " + " ".join(str(x) for x in clause) + " 0")
+    lines = [f"p wcnf {var} {len(hard) + len(soft)} {top}"]
+    for clause in hard:
+        lines.append(f"{top} " + " ".join(str(x) for x in clause) + " 0")
+    for weight, clause in soft:
+        lines.append(f"{weight} " + " ".join(str(x) for x in clause) + " 0")
 
     meta = WcnfMeta(
         num_segments=segments,
@@ -199,174 +158,3 @@ def export_wcnf(
     )
     return WcnfProblem("\n".join(lines) + "\n", meta)
 
-
-def satisfied_interactions(
-    layout_segments: Sequence[dict[int, int]],
-    interactions: Sequence[tuple[int, ...]],
-    topo: Topology,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> list[int]:
-    """Interactions whose logical qubits sit on a connected set in some segment."""
-    good = []
-    for i, inter in enumerate(interactions):
-        if len(inter) < 2 or len(inter) > max_order:
-            continue
-        for seg in layout_segments:
-            if all(q in seg for q in inter) and _positions_connected(
-                topo, [seg[q] for q in inter]
-            ):
-                good.append(i)
-                break
-    return good
-
-
-def import_maxsat_layout(solver_output: str, meta: WcnfMeta, topo: Topology) -> MaxsatLayout:
-    """Parse a MAX-SAT solver's value line into per-segment layouts.
-
-    Accepts both the signed-literal style (``v 1 -2 3 ...``) and the
-    binary-string style (``v 0101...``).  Hard-constraint violations in
-    the model are rejected.
-    """
-    assignment = _parse_model(solver_output, meta.num_vars)
-    segments: list[dict[int, int]] = []
-    for s in range(meta.num_segments):
-        seg: dict[int, int] = {}
-        used: set[int] = set()
-        for l in range(meta.num_logical):
-            spots = [
-                p
-                for p in range(meta.num_physical)
-                if assignment[meta.placement_vars[(s, l, p)]]
-            ]
-            if len(spots) != 1:
-                raise ExternalSolverError(
-                    f"segment {s}: logical qubit {l} placed on {len(spots)} physical qubits"
-                )
-            if spots[0] in used:
-                raise ExternalSolverError(
-                    f"segment {s}: physical qubit {spots[0]} hosts two logical qubits"
-                )
-            used.add(spots[0])
-            seg[l] = spots[0]
-        segments.append(seg)
-    for s in range(meta.num_segments - 1):
-        for l in range(meta.num_logical):
-            p, q = segments[s][l], segments[s + 1][l]
-            if p != q and not topo.coupled(p, q):
-                raise ExternalSolverError(
-                    f"logical qubit {l} jumps {p}->{q} across segment {s} without coupling"
-                )
-    sat = satisfied_interactions(segments, meta.interactions, topo)
-    unsat = [i for i in range(len(meta.interactions)) if i not in sat]
-    return MaxsatLayout(segments=segments, satisfied=sat, unsatisfied=unsat)
-
-
-def _parse_model(solver_output: str, num_vars: int) -> dict[int, bool]:
-    status_unsat = False
-    tokens: list[str] = []
-    for line in solver_output.splitlines():
-        line = line.strip()
-        if line.startswith("s ") and "UNSAT" in line.upper():
-            status_unsat = True
-        if line.startswith("v ") or line == "v":
-            tokens.extend(line[1:].split())
-    if status_unsat:
-        raise ExternalSolverError("solver reported UNSATISFIABLE")
-    if not tokens:
-        raise ExternalSolverError("no 'v ' value line found in solver output")
-    assignment: dict[int, bool] = {}
-    if len(tokens) == 1 and set(tokens[0]) <= {"0", "1"} and len(tokens[0]) > 1:
-        bits = tokens[0]
-        if len(bits) < num_vars:
-            raise ExternalSolverError(
-                f"model has {len(bits)} bits but formula has {num_vars} variables"
-            )
-        for i, b in enumerate(bits[:num_vars], start=1):
-            assignment[i] = b == "1"
-        return assignment
-    for tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError as exc:
-            raise ExternalSolverError(f"unparsable literal {tok!r} in value line") from exc
-        if lit == 0:
-            continue
-        assignment[abs(lit)] = lit > 0
-    missing = [v for v in range(1, num_vars + 1) if v not in assignment]
-    if missing:
-        raise ExternalSolverError(
-            f"model leaves {len(missing)} variables unassigned (first: {missing[0]})"
-        )
-    return assignment
-
-
-def enumerate_best_layout(
-    interactions: Iterable[Iterable[int]],
-    topo: Topology,
-    swap_depth: int = 0,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> tuple[int, list[dict[int, int]]]:
-    """Brute-force layout oracle: maximise implementable interactions.
-
-    Only practical for small instances; used to validate the CNF
-    encoding and external solver results.
-    """
-    interactions = [tuple(sorted(set(i))) for i in interactions]
-    logicals = sorted({q for i in interactions for q in i})
-    num_logical = (max(logicals) + 1) if logicals else 0
-    if num_logical > topo.num_qubits:
-        raise DomainError("more logical qubits than physical qubits")
-
-    placements = [
-        {l: perm[l] for l in range(num_logical)}
-        for perm in itertools.permutations(range(topo.num_qubits), num_logical)
-    ]
-
-    def moves_ok(a: dict[int, int], b: dict[int, int]) -> bool:
-        moved = [(a[l], b[l]) for l in a if a[l] != b[l]]
-        for p, q in moved:
-            if not topo.coupled(p, q):
-                return False
-            if (q, p) not in moved:
-                return False
-        return True
-
-    best_count = -1
-    best_segments: list[dict[int, int]] = []
-    for first in placements:
-        chains = [[first]]
-        for _ in range(swap_depth):
-            chains = [
-                chain + [nxt]
-                for chain in chains
-                for nxt in placements
-                if moves_ok(chain[-1], nxt)
-            ]
-        for chain in chains:
-            count = len(satisfied_interactions(chain, interactions, topo, max_order))
-            if count > best_count:
-                best_count = count
-                best_segments = chain
-    return best_count, best_segments
-
-
-def suggest_swap_depth(
-    interactions: Iterable[Iterable[int]],
-    topo: Topology,
-    candidates: Sequence[int] | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> int:
-    """Smallest candidate depth maximising implementable interactions.
-
-    Candidate depths default to 0..3 plus the topology diameter; each is
-    scored with the brute-force oracle, so this is for small instances.
-    """
-    interactions = [tuple(sorted(set(i))) for i in interactions]
-    if candidates is None:
-        candidates = sorted({0, 1, 2, 3, topo.diameter})
-    best_depth, best_count = None, -1
-    for d in sorted(set(candidates)):
-        count, _ = enumerate_best_layout(interactions, topo, d, max_order)
-        if count > best_count:
-            best_depth, best_count = d, count
-    return best_depth

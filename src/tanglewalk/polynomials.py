@@ -8,7 +8,6 @@ Coefficients stay exact Python ints whenever the inputs are integral.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
@@ -55,11 +54,6 @@ class BinaryPolynomial:
                 out.add_term(set(m1) | set(m2), c1 * c2)
         return out
 
-    def scaled(self, factor) -> "BinaryPolynomial":
-        return BinaryPolynomial(
-            self.num_vars, {m: c * factor for m, c in self.terms.items()}
-        )
-
     def evaluate(self, x: Sequence[int]):
         if len(x) != self.num_vars:
             raise DomainError(f"expected {self.num_vars} bits, got {len(x)}")
@@ -76,9 +70,6 @@ class BinaryPolynomial:
     @property
     def degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
-
-    def copy(self) -> "BinaryPolynomial":
-        return BinaryPolynomial(self.num_vars, self.terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -110,18 +101,3 @@ class BinaryPolynomial:
             poly.add_term(entry["vars"], entry["c"])
         return poly
 
-
-def eval_binary(p: BinaryPolynomial, x: Sequence[int]):
-    """Evaluate ``p`` on a bit vector."""
-    return p.evaluate(x)
-
-
-def save_polynomial(p: BinaryPolynomial, path: str):
-    with open(path, "w") as fh:
-        json.dump(p.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_polynomial(path: str) -> BinaryPolynomial:
-    with open(path) as fh:
-        return BinaryPolynomial.from_dict(json.load(fh))

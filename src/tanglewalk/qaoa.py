@@ -133,13 +133,6 @@ class SampleBatch:
         cols = np.arange(self.num_qubits, dtype=np.uint64)
         return ((self.indices[:, None] >> cols) & 1).astype(np.int8)
 
-    def records(self) -> list[tuple[tuple[int, ...], float, int]]:
-        bits = self.bit_matrix()
-        return [
-            (tuple(int(b) for b in bits[i]), float(self.energies[i]), int(self.counts[i]))
-            for i in range(len(self.indices))
-        ]
-
     @property
     def min_energy(self) -> float:
         if len(self.energies) == 0:

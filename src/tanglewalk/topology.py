@@ -1,14 +1,10 @@
-"""Coupling topologies and edge-colouring based gate scheduling.
+"""Coupling topologies.
 
 Supported layouts: linear chains, rectangular grids, and rows of
 heavy-hex cells.  A heavy-hex row consists of two horizontal rails of
 4C+1 qubits joined by C+1 bridge qubits every fourth column, plus one
 pendant qubit above and below each cell's midpoint (where the lattice
 would continue), so the maximum degree is 3 even for a single cell.
-
-All three families are bipartite, so an exact minimum edge colouring
-with Delta colours always exists and is found by the alternating-path
-method; non-bipartite inputs fall back to Misra-Gries (Delta + 1).
 """
 
 from __future__ import annotations
@@ -65,10 +61,6 @@ class Topology:
     def coupled(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
-    @property
-    def max_degree(self) -> int:
-        return max(len(ns) for ns in self._adj.values())
-
     def shortest_path(self, src: int, dst: int) -> list[int]:
         """BFS path with smallest-index tie-breaks; includes both endpoints."""
         if src == dst:
@@ -98,12 +90,6 @@ class Topology:
                     dist[nb] = dist[cur] + 1
                     frontier.append(nb)
         return dist
-
-    @property
-    def diameter(self) -> int:
-        return max(
-            max(self.distances_from(q).values()) for q in range(self.num_qubits)
-        )
 
 
 def build_topology(kind: str, size) -> Topology:
@@ -159,125 +145,3 @@ def _heavy_hex(cells: int) -> Topology:
         edges.add((below, bottom[4 * j + 2]))
     return Topology(nxt, frozenset(edges), "heavy-hex")
 
-
-def _bipartition(topo: Topology) -> dict[int, int] | None:
-    side = {0: 0}
-    frontier = deque([0])
-    while frontier:
-        cur = frontier.popleft()
-        for nb in topo.neighbors(cur):
-            if nb not in side:
-                side[nb] = side[cur] ^ 1
-                frontier.append(nb)
-            elif side[nb] == side[cur]:
-                return None
-    return side
-
-
-def edge_colouring(topo: Topology) -> list[list[Edge]]:
-    """Partition the coupling edges into matchings (parallel gate layers).
-
-    Bipartite topologies (all built-in kinds) get exactly max-degree
-    colours via alternating-path recolouring; anything else falls back
-    to Misra-Gries with at most Delta + 1 colours.
-    """
-    if not topo.edges:
-        return []
-    if _bipartition(topo) is not None:
-        colours = _bipartite_colouring(topo)
-    else:
-        colours = _fallback_colouring(topo)
-    classes: dict[int, list[Edge]] = {}
-    for edge, colour in colours.items():
-        classes.setdefault(colour, []).append(edge)
-    return [sorted(classes[c]) for c in sorted(classes)]
-
-
-def _bipartite_colouring(topo: Topology) -> dict[Edge, int]:
-    delta = topo.max_degree
-    used: list[set[int]] = [set() for _ in range(topo.num_qubits)]
-    colour_of: dict[Edge, int] = {}
-    at: list[dict[int, int]] = [dict() for _ in range(topo.num_qubits)]  # colour -> other end
-
-    def free(v: int) -> int:
-        for c in range(delta):
-            if c not in used[v]:
-                return c
-        raise AssertionError("no free colour at a vertex with degree <= Delta")
-
-    def assign(u: int, v: int, colour: int):
-        colour_of[(min(u, v), max(u, v))] = colour
-        used[u].add(colour)
-        used[v].add(colour)
-        at[u][colour] = v
-        at[v][colour] = u
-
-    def unassign(u: int, v: int, colour: int):
-        used[u].discard(colour)
-        used[v].discard(colour)
-        del at[u][colour]
-        del at[v][colour]
-
-    for u, v in sorted(topo.edges):
-        a = free(u)
-        b = free(v)
-        if a == b:
-            assign(u, v, a)
-            continue
-        # Flip the a/b alternating path starting at v; in a bipartite
-        # graph it can never reach u, so colour a becomes free at v.
-        cur, colour = v, a
-        chain = []
-        while colour in at[cur]:
-            nxt = at[cur][colour]
-            chain.append((cur, nxt, colour))
-            cur, colour = nxt, (b if colour == a else a)
-        for x, y, c in chain:
-            unassign(x, y, c)
-        for x, y, c in chain:
-            assign(x, y, b if c == a else a)
-        assign(u, v, a)
-    return colour_of
-
-
-def _fallback_colouring(topo: Topology) -> dict[Edge, int]:
-    """Greedy colouring; exact search within Delta + 1 if greedy overshoots.
-
-    Vizing's theorem guarantees a Delta + 1 colouring exists, so the
-    backtracking pass always terminates with a valid answer.
-    """
-    ordered = sorted(topo.edges)
-    greedy: dict[Edge, int] = {}
-    used: list[set[int]] = [set() for _ in range(topo.num_qubits)]
-    for u, v in ordered:
-        c = 0
-        while c in used[u] or c in used[v]:
-            c += 1
-        greedy[(u, v)] = c
-        used[u].add(c)
-        used[v].add(c)
-    limit = topo.max_degree + 1
-    if max(greedy.values()) < limit:
-        return greedy
-
-    colour_of: dict[Edge, int] = {}
-    used = [set() for _ in range(topo.num_qubits)]
-
-    def place(i: int) -> bool:
-        if i == len(ordered):
-            return True
-        u, v = ordered[i]
-        for c in range(limit):
-            if c not in used[u] and c not in used[v]:
-                colour_of[(u, v)] = c
-                used[u].add(c)
-                used[v].add(c)
-                if place(i + 1):
-                    return True
-                used[u].discard(c)
-                used[v].discard(c)
-        return False
-
-    if not place(0):  # unreachable by Vizing's theorem
-        raise AssertionError("Delta + 1 edge colouring must exist")
-    return colour_of

@@ -456,7 +456,6 @@ def compile_parity(
     circ: CircuitIR,
     topo: Topology,
     layout: dict[int, int] | None = None,
-    layout_search: bool = True,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> CompiledCircuit:
     """Parity-network compilation of the diagonal blocks of a circuit.
@@ -469,9 +468,7 @@ def compile_parity(
     """
     _check_fits(circ, topo)
     if layout is None:
-        layout = (
-            search_layout(circ, topo) if layout_search else _initial_layout(circ, topo, None)
-        )
+        layout = search_layout(circ, topo)
     elif set(layout) != set(range(circ.num_qubits)):
         raise DomainError("layout must place every logical qubit of the circuit")
     place = _Placement(layout, topo.num_qubits)

@@ -131,7 +131,7 @@ def test_criterion_02_ising_consistency():
         binary = brute_force_energies(poly)
         assert np.array_equal(spectral, binary)  # exact, integer coefficients
         for x in all_assignments(poly.num_vars)[:: max(1, poly.num_vars)]:
-            assert tw.ising_energy(h, x) == tw.eval_binary(poly, x)
+            assert tw.ising_energy(h, x) == poly.evaluate(x)
         checked += 1
     report(
         "02 ising consistency",
@@ -330,7 +330,7 @@ def test_criterion_08_interaction_chain_benchmark():
         5, [tw.Gate("MULTIRZ", s, 0.2 * (i + 1)) for i, s in enumerate(sets)]
     )
     topo = tw.build_topology("linear", 5)
-    parity = tw.compile_parity(circ, topo, layout={q: q for q in range(5)}, layout_search=False)
+    parity = tw.compile_parity(circ, topo, layout={q: q for q in range(5)})
     naive = tw.compile_naive(circ, topo)
     parity_ok = tw.verify_equivalence(circ, parity)
     naive_ok = tw.verify_equivalence(circ, naive)

@@ -15,13 +15,13 @@ from tanglewalk import (
     walk_cost,
 )
 from tanglewalk.cli import ExperimentConfig, _workers, main
-from tanglewalk.graphs import graph_to_dict, save_graph
+from tanglewalk.graphs import graph_to_dict
 
 
 @pytest.fixture
 def tangle2_file(tmp_path, tangle2):
     path = tmp_path / "tangle2.json"
-    save_graph(tangle2, path)
+    path.write_text(json.dumps(graph_to_dict(tangle2)))
     return str(path)
 
 
@@ -330,6 +330,44 @@ class TestPipeline:
         cfg = tmp_path / "exp.toml"
         cfg.write_text("bogus = 3\n")
         assert main(["pipeline", "--config", str(cfg)]) == 2
+
+
+SMALL = ["--seed", "1", "--nodes", "2", "--max-weight", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,files",
+    [
+        pytest.param(["compile", *SMALL, "--topology", "grid:3"], {}, id="grid-without-x"),
+        pytest.param(["compile", *SMALL, "--topology", "linear:abc"], {}, id="linear-not-int"),
+        pytest.param(["compile", *SMALL, "--topology", "grid:2x"], {}, id="grid-no-cols"),
+        pytest.param(["sweep", *SMALL, "--p", "1,x"], {}, id="sweep-p"),
+        pytest.param(["sweep", *SMALL, "--dbetas", "0.1:1.0"], {}, id="range-two-parts"),
+        pytest.param(["sweep", *SMALL, "--dbetas", "abc"], {}, id="axis-not-float"),
+        pytest.param(["pipeline", *SMALL, "--seeds", "0,a"], {}, id="pipeline-seeds"),
+        pytest.param(
+            ["pipeline", "--config", "exp.toml"], {"exp.toml": b"seeds = [0, a]\n"},
+            id="config-seeds",
+        ),
+        pytest.param(
+            ["pipeline", "--config", "exp.toml"], {"exp.toml": b'shots = "x"\n'},
+            id="config-type",
+        ),
+        pytest.param(
+            ["pipeline", "--config", "exp.toml"], {"exp.toml": b"run_seed = 7\n"},
+            id="config-run-seed-is-unknown",
+        ),
+        pytest.param(["oracle", "."], {}, id="graph-is-a-directory"),
+        pytest.param(["oracle", "bad.json"], {"bad.json": b"{not json"}, id="invalid-json"),
+        pytest.param(["oracle", "bad.json"], {"bad.json": b"\xff\xfe"}, id="not-utf8"),
+    ],
+)
+def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, argv, files):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_flag_exits_two():

@@ -14,8 +14,6 @@ from tanglewalk import (
     flip,
     generate_tangle,
     is_valid_walk,
-    load_graph,
-    save_graph,
     walk_cost,
 )
 from tanglewalk.graphs import graph_from_dict, graph_to_dict
@@ -137,10 +135,8 @@ class TestGenerator:
 
 
 class TestGraphJson:
-    def test_round_trip(self, tmp_path, tangle2):
-        path = tmp_path / "g.json"
-        save_graph(tangle2, path)
-        loaded = load_graph(path)
+    def test_round_trip(self, tangle2):
+        loaded = graph_from_dict(json.loads(json.dumps(graph_to_dict(tangle2))))
         assert loaded == tangle2
 
     def test_rejects_missing_reverse_complement(self):
@@ -157,12 +153,6 @@ class TestGraphJson:
         data = {"n": 2, "weights": [1, -1], "edges": []}
         with pytest.raises(DomainError, match=r"weights\[1\]"):
             graph_from_dict(data)
-
-    def test_rejects_invalid_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(DomainError, match="line"):
-            load_graph(path)
 
     def test_dict_shape(self, tangle2):
         data = graph_to_dict(tangle2)

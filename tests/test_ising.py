@@ -10,7 +10,6 @@ from tanglewalk import (
     diagonal,
     encode_hubo,
     encode_qubo,
-    eval_binary,
     default_walk_length,
     generate_tangle,
     ising_energy,
@@ -46,13 +45,13 @@ def test_hubo_equivalence_is_exact(tangle2):
     poly = encode_hubo(tangle2, 2)
     h = to_ising(poly)
     for x in all_assignments(poly.num_vars):
-        assert ising_energy(h, x) == eval_binary(poly, x)
+        assert ising_energy(h, x) == poly.evaluate(x)
 
 
 def test_minimiser_set_preserved(tangle2):
     poly = encode_hubo(tangle2, 2)
     h = to_ising(poly)
-    binary = np.array([eval_binary(poly, x) for x in all_assignments(poly.num_vars)])
+    binary = np.array([poly.evaluate(x) for x in all_assignments(poly.num_vars)])
     spectral = diagonal(h)
     assert np.array_equal(
         np.flatnonzero(binary == binary.min()), np.flatnonzero(spectral == spectral.min())
@@ -75,7 +74,7 @@ def test_random_polynomials_agree(data):
     poly = BinaryPolynomial(n, terms)
     h = to_ising(poly)
     x = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
-    assert ising_energy(h, x) == eval_binary(poly, x)
+    assert ising_energy(h, x) == poly.evaluate(x)
 
 
 class TestIsingEnergy:
@@ -144,8 +143,3 @@ class TestDiagonal:
         T = default_walk_length(g)
         h = to_ising(encode_qubo(g, T) if kind == "qubo" else encode_hubo(g, T))
         assert np.array_equal(diagonal(h), parity_energies(h))
-
-
-def test_json_round_trip():
-    h = IsingPolynomial(3, {(0,): -0.5, (1, 2): 0.25}, constant=1.75)
-    assert IsingPolynomial.from_dict(h.to_dict()) == h

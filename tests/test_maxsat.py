@@ -1,26 +1,8 @@
-import pytest
+import itertools
 
-from tanglewalk import (
-    ExternalSolverError,
-    build_topology,
-    enumerate_best_layout,
-    export_wcnf,
-    import_maxsat_layout,
-    suggest_swap_depth,
-)
-from tanglewalk.maxsat import satisfied_interactions
+from tanglewalk import build_topology, export_wcnf
 
 from helpers import eval_clause, parse_wcnf
-
-
-def model_line(meta, segments, aux_true=()):
-    """Construct a solver 'v' line realising the given per-segment layouts."""
-    true_vars = set(aux_true)
-    for s, seg in enumerate(segments):
-        for l, p in seg.items():
-            true_vars.add(meta.placement_vars[(s, l, p)])
-    lits = [v if v in true_vars else -v for v in range(1, meta.num_vars + 1)]
-    return "s OPTIMUM FOUND\nv " + " ".join(str(x) for x in lits) + " 0\n"
 
 
 class TestExport:
@@ -77,91 +59,42 @@ class TestExport:
         assert len(soft) == 1
 
     def test_header_styles(self):
-        topo = build_topology("linear", 2)
-        classic = export_wcnf([(0, 1)], topo, header="classic")
+        classic = export_wcnf([(0, 1)], build_topology("linear", 2))
         assert classic.text.startswith("p wcnf ")
-        modern = export_wcnf([(0, 1)], topo, header="2022")
-        assert "\nh " in modern.text and "p wcnf" not in modern.text
-
-
-class TestImport:
-    def test_identity_model_round_trip(self):
-        topo = build_topology("linear", 2)
-        problem = export_wcnf([(0, 1)], topo)
-        layout = import_maxsat_layout(
-            model_line(problem.meta, [{0: 0, 1: 1}]), problem.meta, topo
-        )
-        assert layout.segments == [{0: 0, 1: 1}]
-        assert layout.satisfied == [0]
-        assert layout.unsatisfied == []
-
-    def test_truncated_output_is_an_error(self):
-        topo = build_topology("linear", 2)
-        problem = export_wcnf([(0, 1)], topo)
-        with pytest.raises(ExternalSolverError):
-            import_maxsat_layout("s OPTIMUM FOUND\n", problem.meta, topo)
-
-    def test_unsat_is_an_error(self):
-        topo = build_topology("linear", 2)
-        problem = export_wcnf([(0, 1)], topo)
-        with pytest.raises(ExternalSolverError):
-            import_maxsat_layout("s UNSATISFIABLE\n", problem.meta, topo)
-
-    def test_hard_violation_rejected(self):
-        topo = build_topology("linear", 2)
-        problem = export_wcnf([(0, 1)], topo)
-        bad = model_line(problem.meta, [{0: 0, 1: 0}])  # collision
-        with pytest.raises(ExternalSolverError):
-            import_maxsat_layout(bad, problem.meta, topo)
-
-    def test_binary_model_format(self):
-        topo = build_topology("linear", 2)
-        problem = export_wcnf([(0, 1)], topo)
-        bits = ["0"] * problem.meta.num_vars
-        for (s, l, p), var in problem.meta.placement_vars.items():
-            if (l, p) in ((0, 1), (1, 0)):
-                bits[var - 1] = "1"
-        text = "v " + "".join(bits) + "\n"
-        layout = import_maxsat_layout(text, problem.meta, topo)
-        assert layout.segments == [{0: 1, 1: 0}]
-
-    def test_solver_layout_matches_bruteforce_optimum(self):
-        # 4-qubit instance: simulate an external solver with the known optimum
-        topo = build_topology("linear", 4)
-        interactions = [(0, 1), (1, 2), (0, 2, 3)]
-        best_count, best_segments = enumerate_best_layout(interactions, topo)
-        problem = export_wcnf(interactions, topo)
-        layout = import_maxsat_layout(
-            model_line(problem.meta, best_segments), problem.meta, topo
-        )
-        assert len(layout.satisfied) == best_count
 
 
 class TestBruteForce:
-    def test_finds_all_satisfiable_layout(self):
-        topo = build_topology("linear", 3)
-        count, segments = enumerate_best_layout([(0, 1), (1, 2)], topo)
-        assert count == 2
-        seg = segments[0]
-        assert abs(seg[0] - seg[1]) == 1 and abs(seg[1] - seg[2]) == 1
-
     def test_swap_layer_helps(self):
-        # On a 3-line, (0,2) and (0,1) and (1,2) cannot all be adjacent at once
+        # On a 3-line, (0, 1), (1, 2) and (0, 2) cannot all be adjacent at
+        # once; one swap layer lets a layout reward all three.  Every chain of
+        # placements is scored on the exported formula itself.
         topo = build_topology("linear", 3)
         interactions = [(0, 1), (1, 2), (0, 2)]
-        d0, _ = enumerate_best_layout(interactions, topo, swap_depth=0)
-        d1, _ = enumerate_best_layout(interactions, topo, swap_depth=1)
-        assert d0 == 2
-        assert d1 == 3
+        placements = list(itertools.permutations(range(3)))  # logical l on perm[l]
 
-    def test_connectivity_semantics(self):
-        topo = build_topology("linear", 4)
-        # logical triple placed on 0,1,2 is connected; on 0,1,3 is not
-        assert satisfied_interactions([{0: 0, 1: 1, 2: 2}], [(0, 1, 2)], topo) == [0]
-        assert satisfied_interactions([{0: 0, 1: 1, 2: 3}], [(0, 1, 2)], topo) == []
+        def swap_layer(a, b):
+            moved = {(p, q) for p, q in zip(a, b) if p != q}
+            return all(topo.coupled(p, q) and (q, p) in moved for p, q in moved)
 
-    def test_suggest_swap_depth(self):
-        topo = build_topology("linear", 3)
-        interactions = [(0, 1), (1, 2), (0, 2)]
-        assert suggest_swap_depth(interactions, topo, candidates=(0, 1)) == 1
-        assert suggest_swap_depth([(0, 1)], topo, candidates=(0, 1, 2)) == 0
+        best = {}
+        for depth in (0, 1):
+            problem = export_wcnf(interactions, topo, swap_depth=depth)
+            _, hard, soft = parse_wcnf(problem.text)
+            aux_defs = {
+                v: [c for c in hard if -v in c] for v in problem.meta.aux_vars.values()
+            }
+            scores = []
+            for chain in itertools.product(placements, repeat=depth + 1):
+                assignment = {
+                    problem.meta.placement_vars[(s, l, p)]: True
+                    for s, perm in enumerate(chain)
+                    for l, p in enumerate(perm)
+                }
+                for v, defs in aux_defs.items():  # true exactly when allowed
+                    assignment[v] = all(eval_clause(c, assignment | {v: True}) for c in defs)
+                legal = all(swap_layer(a, b) for a, b in zip(chain, chain[1:]))
+                assert all(eval_clause(c, assignment) for c in hard) == legal
+                if legal:
+                    scores.append(sum(w for w, c in soft if eval_clause(c, assignment)))
+            best[depth] = max(scores)
+        assert best == {0: 2, 1: 3}

@@ -1,9 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanglewalk import BinaryPolynomial, DomainError, eval_binary
-from tanglewalk.polynomials import load_polynomial, save_polynomial
+from tanglewalk import BinaryPolynomial, DomainError
 
 from helpers import all_assignments, brute_force_energies
 
@@ -11,13 +12,13 @@ from helpers import all_assignments, brute_force_energies
 def test_constant_polynomial():
     p = BinaryPolynomial(3, {(): 5})
     for x in all_assignments(3):
-        assert eval_binary(p, x) == 5
+        assert p.evaluate(x) == 5
 
 
 def test_product_term():
     p = BinaryPolynomial(2, {(0, 1): 1})
-    assert eval_binary(p, (1, 1)) == 1
-    assert eval_binary(p, (1, 0)) == 0
+    assert p.evaluate((1, 1)) == 1
+    assert p.evaluate((1, 0)) == 0
 
 
 def test_multilinear_reduction_at_insertion():
@@ -71,11 +72,9 @@ def test_brute_force_scan_matches_evaluate(data):
         assert energies[idx] == p.evaluate(bits[idx])
 
 
-def test_json_round_trip_bit_exact(tmp_path):
+def test_json_round_trip_bit_exact():
     p = BinaryPolynomial(4, {(): 7, (0,): -3, (1, 3): 12, (0, 1, 2, 3): 1})
-    path = tmp_path / "p.json"
-    save_polynomial(p, path)
-    q = load_polynomial(path)
+    q = BinaryPolynomial.from_dict(json.loads(json.dumps(p.to_dict())))
     assert q == p
     assert all(isinstance(c, int) for c in q.terms.values())
 

@@ -136,7 +136,7 @@ class TestCompileParity:
     def test_spec_zzz_plan(self):
         circ = CircuitIR(3, [Gate("MULTIRZ", (0, 1, 2), 0.7)])
         compiled = compile_parity(
-            circ, build_topology("linear", 3), layout={0: 0, 1: 1, 2: 2}, layout_search=False
+            circ, build_topology("linear", 3), layout={0: 0, 1: 1, 2: 2}
         )
         assert [(g.name, g.qubits) for g in compiled.circuit.gates] == [
             ("CX", (0, 1)),
@@ -196,7 +196,7 @@ class TestCompileParity:
             [Gate("MULTIRZ", (0, 1, 2), 0.4), Gate("MULTIRZ", (0, 1, 2), 0.9)],
         )
         compiled = compile_parity(
-            circ, build_topology("linear", 3), layout={0: 0, 1: 1, 2: 2}, layout_search=False
+            circ, build_topology("linear", 3), layout={0: 0, 1: 1, 2: 2}
         )
         # networks between the two rotations cancel completely
         assert compiled.metrics["two_qubit_count"] == 4
@@ -208,7 +208,7 @@ class TestCompileParity:
             5, [Gate("MULTIRZ", s, 0.1 * (i + 1)) for i, s in enumerate(sets)]
         )
         topo = build_topology("linear", 5)
-        parity = compile_parity(circ, topo, layout={i: i for i in range(5)}, layout_search=False)
+        parity = compile_parity(circ, topo, layout={i: i for i in range(5)})
         naive = compile_naive(circ, topo)
         assert parity.metrics["two_qubit_count"] <= 14
         assert naive.metrics["two_qubit_count"] >= 24

@@ -7,7 +7,7 @@ gate sets.  Everything is deterministic given explicit seeds and is
 validated against brute-force oracles in the test suite.
 """
 
-from .circuits import CircuitIR, Gate, apply_circuit, metrics, verify_equivalence
+from .circuits import CircuitIR, Gate, metrics, verify_equivalence
 from .encoding import (
     DecodedWalk,
     HuboLayout,

@@ -189,7 +189,7 @@ def _run_solve(g: OrientedGraph, poly: BinaryPolynomial, meta: dict, args, run_s
 
 def cmd_solve(args) -> int:
     data = _load_json(args.input)
-    if "terms" in data:
+    if isinstance(data, dict) and "terms" in data:
         if "meta" not in data:
             raise ConfigError("encoded polynomial lacks 'meta'; re-run `encode`")
         if not args.graph:

@@ -225,12 +225,17 @@ def graph_to_dict(g: OrientedGraph) -> dict:
 
 def graph_from_dict(data: dict) -> OrientedGraph:
     """Build a graph from the JSON schema, with per-entry diagnostics."""
+    if not isinstance(data, dict):
+        raise DomainError(f"graph JSON must be an object, got {type(data).__name__}")
     for key in ("n", "weights", "edges"):
         if key not in data:
             raise DomainError(f"graph JSON missing required key {key!r}")
     n = data["n"]
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"graph JSON field 'n' must be a positive integer, got {n!r}")
+    for key in ("weights", "edges"):
+        if not isinstance(data[key], list):
+            raise DomainError(f"graph JSON field {key!r} must be a list, got {data[key]!r}")
     weights = data["weights"]
     for i, w in enumerate(weights):
         if not isinstance(w, int) or w < 0:

@@ -92,12 +92,21 @@ class BinaryPolynomial:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BinaryPolynomial":
-        if "n_vars" not in data or "terms" not in data:
-            raise DomainError("polynomial JSON requires 'n_vars' and 'terms'")
-        poly = cls(data["n_vars"])
+        if not (isinstance(data, dict) and "n_vars" in data and "terms" in data):
+            raise DomainError("polynomial JSON must be an object with 'n_vars' and 'terms'")
+        num_vars = data["n_vars"]
+        if not isinstance(num_vars, int):
+            raise DomainError(f"polynomial JSON field 'n_vars' = {num_vars!r} is not an integer")
+        if not isinstance(data["terms"], list):
+            raise DomainError("polynomial JSON field 'terms' is not a list")
+        poly = cls(num_vars)
         for i, entry in enumerate(data["terms"]):
-            if "vars" not in entry or "c" not in entry:
+            if not (isinstance(entry, dict) and "vars" in entry and "c" in entry):
                 raise DomainError(f"terms[{i}] must carry 'vars' and 'c'")
-            poly.add_term(entry["vars"], entry["c"])
+            variables, coeff = entry["vars"], entry["c"]
+            if not (isinstance(variables, list) and all(isinstance(v, int) for v in variables)):
+                raise DomainError(f"terms[{i}].vars = {variables!r} is not a list of integers")
+            if not isinstance(coeff, (int, float)):
+                raise DomainError(f"terms[{i}].c = {coeff!r} is not a number")
+            poly.add_term(variables, coeff)
         return poly
-

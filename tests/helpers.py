@@ -1,14 +1,20 @@
 """Independent oracles used by the tests.
 
 Nothing here may call back into the production code paths it checks:
-polynomial scans walk all assignments directly, and the circuit oracle
-multiplies explicitly built dense matrices (scipy expm for the mixer).
-The compiler oracles at the end are the original full-rescan layout search
-and greedy plan ordering, kept as the reference the fast paths must match.
+polynomial scans walk all assignments directly, and the circuit oracles
+multiply explicitly built dense matrices (scipy expm for the mixer).
+Two oracles check ``verify_equivalence``'s contract by pushing every
+embedded logical basis state through both circuits:
+``basis_phase_equivalent`` as concrete wire bits plus a phase, for
+CX/SWAP/diagonal circuits, and ``dense_equivalent`` as amplitudes, one
+k-qubit gate matrix at a time, for circuits with RY.  The compiler oracles
+at the end are the original full-rescan layout search and greedy plan
+ordering, kept as the reference the fast paths must match.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 import numpy as np
@@ -119,6 +125,115 @@ def dense_circuit_unitary(circ) -> np.ndarray:
     for gate in circ.gates:
         unitary = dense_gate_matrix(gate, circ.num_qubits) @ unitary
     return unitary
+
+
+# ---------------------------------------------------------------------------
+# Circuit-equivalence oracles.  Each reads two CircuitIR or CompiledCircuit
+# objects by attribute only and pushes every logical basis state, embedded
+# under the initial layout, through both circuits.  verify_equivalence's
+# contract: the outputs at the final layouts agree up to one global phase,
+# and every other wire ends at |0>.
+
+_LocalGate = collections.namedtuple("_LocalGate", "name qubits theta")
+
+
+def _physical(obj):
+    """(gates, wire count, initial layout, final layout) of either circuit kind."""
+    circ = getattr(obj, "circuit", obj)
+    identity = {q: q for q in range(circ.num_qubits)}
+    return (
+        circ.gates,
+        circ.num_qubits,
+        getattr(obj, "initial_layout", identity),
+        getattr(obj, "final_layout", identity),
+    )
+
+
+def basis_phase_equivalent(a, b, tol: float = 1e-8) -> bool:
+    """The contract for CX/SWAP/diagonal circuits, on concrete bits.
+
+    Each basis state x is a column of wire bits plus a phase phi(x) (the
+    amplitude is e^{-i phi}): CX and SWAP move bits, and a diagonal gate
+    adds theta/2 times +1 or -1 by the parity of its wires' bits.
+    """
+    results = []
+    for obj in (a, b):
+        gates, width, start, end = _physical(obj)
+        n = len(start)
+        xs = np.arange(1 << n)
+        wires = np.zeros((width, 1 << n), dtype=np.int64)
+        for logical, physical in start.items():
+            wires[physical] = (xs >> logical) & 1
+        phase = np.zeros(1 << n)
+        for g in gates:
+            if g.name == "CX":
+                control, target = g.qubits
+                wires[target] ^= wires[control]
+            elif g.name == "SWAP":
+                p, q = g.qubits
+                wires[[p, q]] = wires[[q, p]]
+            elif g.name in ("RZ", "RZZ", "MULTIRZ"):
+                parity = np.bitwise_xor.reduce(wires[list(g.qubits)], axis=0)
+                phase += g.theta / 2 * (1 - 2 * parity)
+            else:
+                raise ValueError(f"{g.name} is not a CX, SWAP or diagonal gate")
+        if np.any(np.delete(wires, list(end.values()), axis=0)):
+            return False
+        index = np.zeros(1 << n, dtype=np.int64)
+        for logical in range(n):
+            index |= wires[end[logical]] << logical
+        results.append((index, phase))
+    (index_a, phase_a), (index_b, phase_b) = results
+    if not np.array_equal(index_a, index_b):
+        return False
+    delta = phase_a - phase_b
+    return bool(np.max(np.abs(1 - np.exp(-1j * (delta - delta[0])))) <= tol)
+
+
+def dense_equivalent(a, b, tol: float = 1e-8) -> bool:
+    """The contract for any gate set, on dense amplitudes.
+
+    The basis states form a (2^n_logical, 2, ..., 2) tensor, axis 1 + j
+    holding wire width - 1 - j.  Each gate's own k-qubit
+    ``dense_gate_matrix`` is contracted with its k wire axes.
+    """
+    results = []
+    for obj in (a, b):
+        gates, width, start, end = _physical(obj)
+        n = len(start)
+        states = np.zeros((1 << n, 1 << width), dtype=complex)
+        for x in range(1 << n):
+            states[x, sum(((x >> l) & 1) << p for l, p in start.items())] = 1.0
+        states = states.reshape((1 << n,) + (2,) * width)
+        for g in gates:
+            k = len(g.qubits)
+            local = _LocalGate(g.name, tuple(range(k)), g.theta)
+            matrix = dense_gate_matrix(local, k).reshape((2,) * (2 * k))
+            axes = [width - q for q in reversed(g.qubits)]
+            states = np.moveaxis(
+                np.tensordot(matrix, states, axes=(list(range(k, 2 * k)), axes)),
+                list(range(k)),
+                axes,
+            )
+        flat = states.reshape(1 << n, 1 << width)
+        idx = np.arange(1 << width)
+        keep = (idx & ~sum(1 << p for p in end.values())) == 0
+        if np.max(np.abs(flat[:, ~keep]), initial=0.0) > tol:
+            return False
+        logical = np.zeros(int(keep.sum()), dtype=np.int64)
+        for l in range(n):
+            logical |= ((idx[keep] >> end[l]) & 1) << l
+        projected = np.zeros((1 << n, 1 << n), dtype=complex)
+        projected[:, logical] = flat[:, keep]
+        results.append(projected)
+    proj_a, proj_b = results
+    if proj_a.shape != proj_b.shape:
+        return False
+    anchor = np.unravel_index(np.argmax(np.abs(proj_a)), proj_a.shape)
+    if abs(proj_b[anchor]) <= tol:
+        return False
+    phase = proj_a[anchor] / proj_b[anchor]
+    return bool(abs(abs(phase) - 1) <= tol and np.max(np.abs(proj_a - phase * proj_b)) <= tol)
 
 
 def dense_qaoa_distribution(h, prior, betas, gammas) -> np.ndarray:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dataclasses
@@ -9,28 +9,23 @@ from tanglewalk import (
     CircuitIR,
     DomainError,
     Gate,
-    apply_circuit,
+    HuboLayout,
     build_topology,
     compile_naive,
     compile_parity,
     default_walk_length,
     encode_hubo,
     generate_tangle,
+    lr_schedule,
     metrics,
+    qaoa_circuit,
     to_ising,
     verify_equivalence,
 )
-from tanglewalk.circuits import _verify_dense
 from tanglewalk.transpile import cost_layer_gates
 
-from helpers import PAULI_Z, dense_circuit_unitary, kron_chain
-from test_acceptance import grid_for, hubo_layers
-
-
-def basis(n, index=0):
-    state = np.zeros(1 << n, dtype=complex)
-    state[index] = 1.0
-    return state
+from helpers import basis_phase_equivalent, dense_equivalent
+from test_acceptance import grid_for, hubo_layers, planted_instances
 
 
 class TestGateValidation:
@@ -55,37 +50,9 @@ class TestGateValidation:
             CircuitIR(2, [Gate("RY", (2,), 0.1)])
 
 
-class TestApplyCircuit:
-    def test_cx_truth_table(self):
-        circ = CircuitIR(2, [Gate("CX", (0, 1))])
-        for src, dst in [(0, 0), (1, 3), (2, 2), (3, 1)]:
-            out = apply_circuit(circ, basis(2, src))[0]
-            assert out[dst] == pytest.approx(1.0)
-
-    def test_swap_truth_table(self):
-        circ = CircuitIR(2, [Gate("SWAP", (0, 1))])
-        for src, dst in [(0, 0), (1, 2), (2, 1), (3, 3)]:
-            out = apply_circuit(circ, basis(2, src))[0]
-            assert out[dst] == pytest.approx(1.0)
-
-    def test_multirz_phases(self):
-        theta = 0.8
-        circ = CircuitIR(3, [Gate("MULTIRZ", (0, 1, 2), theta)])
-        out = apply_circuit(circ, np.eye(8, dtype=complex))
-        zzz = np.diag(kron_chain([PAULI_Z, PAULI_Z, PAULI_Z]))
-        for idx in range(8):
-            assert out[idx, idx] == pytest.approx(np.exp(-1j * theta / 2 * zzz[idx]))
-
-    def test_ry_rotates_zero_state(self):
-        theta = 1.1
-        circ = CircuitIR(1, [Gate("RY", (0,), theta)])
-        out = apply_circuit(circ, basis(1))[0]
-        assert out[0] == pytest.approx(np.cos(theta / 2))
-        assert out[1] == pytest.approx(np.sin(theta / 2))
-
-
 @st.composite
-def random_circuit(draw, with_ry):
+def random_circuit(draw):
+    """A random CX/SWAP/diagonal circuit on 2-5 qubits."""
     n = draw(st.integers(2, 5))
     qubit = st.integers(0, n - 1)
     pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
@@ -97,26 +64,32 @@ def random_circuit(draw, with_ry):
         st.builds(Gate, st.just("RZZ"), pair, angle),
         st.builds(Gate, st.just("MULTIRZ"), st.lists(qubit, min_size=1, unique=True), angle),
     )
-    gates = draw(st.lists(gate, max_size=24))
-    if with_ry:
-        for _ in range(draw(st.integers(1, 3))):
-            at = draw(st.integers(0, len(gates)))
-            gates.insert(at, Gate("RY", (draw(qubit),), draw(angle)))
-    return CircuitIR(n, gates)
+    return CircuitIR(n, draw(st.lists(gate, max_size=24)))
 
 
-class TestApplyCircuitAgainstDenseMatrices:
-    """Random circuits; without RY they take the permutation-and-phase path."""
+class TestReplayAgainstBasisOracle:
+    """Random circuits against copies with one gate dropped or turned."""
 
-    @pytest.mark.parametrize("with_ry", [False, True])
     @given(data=st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_matches_gate_by_gate_product(self, with_ry, data):
-        circ = data.draw(random_circuit(with_ry))
-        dim = 1 << circ.num_qubits
-        out = apply_circuit(circ, np.eye(dim, dtype=complex))
-        # Row i of the output is the image of basis state i, i.e. column i of U.
-        assert np.abs(out - dense_circuit_unitary(circ).T).max() < 1e-12
+    @settings(max_examples=200, deadline=None)
+    def test_one_gate_mutants(self, data):
+        circ = data.draw(random_circuit())
+        gates = list(circ.gates)
+        if gates:
+            i = data.draw(st.integers(0, len(gates) - 1))
+            quarter_turns = data.draw(st.integers(-4, 4))
+            g = gates[i]
+            if g.theta is None or data.draw(st.booleans()):
+                del gates[i]
+            else:
+                gates[i] = Gate(g.name, g.qubits, g.theta + quarter_turns * np.pi / 2)
+        mutant = CircuitIR(circ.num_qubits, gates)
+        # A phase deviation near tol (say a dropped RZ(1e-8)) is decided by rounding.
+        assume(
+            basis_phase_equivalent(circ, mutant, tol=5e-9)
+            == basis_phase_equivalent(circ, mutant, tol=2e-8)
+        )
+        assert verify_equivalence(circ, mutant) == basis_phase_equivalent(circ, mutant)
 
 
 class TestMetrics:
@@ -192,12 +165,12 @@ def drop_first_rotation(compiled):
 
 
 def both_verifiers(a, b):
-    """(symbolic, dense) answers, which must agree."""
-    return verify_equivalence(a, b), _verify_dense(a, b)
+    """(replay, basis-state oracle) answers, which must agree."""
+    return verify_equivalence(a, b), basis_phase_equivalent(a, b)
 
 
 class TestSymbolicVerifier:
-    """The GF(2) replay against the dense statevector check."""
+    """The GF(2) replay against the basis-state oracle on cost layers."""
 
     def test_matches_dense_on_criterion_06(self):
         for layer in hubo_layers(50, 4, 8):
@@ -295,8 +268,98 @@ class TestSymbolicVerifier:
         assert not verify_equivalence(layer, drop_first_rotation(compiled))
 
 
+def full_qaoa_circuits():
+    """Warm-started p=1 and p=2 QAOA circuits of 4-6-qubit HUBO layers."""
+    circuits = []
+    for g, T in planted_instances(
+        3,
+        lambda g, T: 4 <= HuboLayout.for_graph(g, T).num_vars <= 6,
+        [(2, 3, 0.25), (3, 1, 0.25), (4, 1, 0.2), (2, 4, 0.3), (3, 2, 0.3)],
+    ):
+        h = to_ising(encode_hubo(g, T))
+        prior = np.linspace(0.2, 0.8, h.num_qubits)  # a distinct RY angle per qubit
+        for p in (1, 2):
+            circuits.append(qaoa_circuit(h, lr_schedule(p, 0.7, 0.3), prior))
+    return circuits
+
+
+class TestRyReplay:
+    """Whole QAOA circuits, cut at each RY, against the dense oracle."""
+
+    def test_matches_dense_on_full_compilations(self):
+        for circ in full_qaoa_circuits():
+            n = circ.num_qubits
+            for topo in (build_topology("linear", n), grid_for(n), build_topology("heavy-hex", 1)):
+                for compiler in (compile_parity, compile_naive):
+                    compiled = compiler(circ, topo)
+                    assert verify_equivalence(circ, compiled), (n, topo.num_qubits, compiler)
+                    assert dense_equivalent(circ, compiled), (n, topo.num_qubits, compiler)
+
+    @pytest.fixture(scope="class")
+    def compiled6(self):
+        """A 6-qubit p=1 QAOA circuit compiled onto 8 physical qubits (2 ancillas)."""
+        circ = full_qaoa_circuits()[-2]
+        compiled = compile_parity(circ, build_topology("grid", (2, 4)))
+        assert circ.num_qubits == 6 and compiled.circuit.num_qubits == 8
+        return circ, compiled
+
+    def test_negative_cases(self, compiled6):
+        circ, compiled = compiled6
+        gates = list(compiled.circuit.gates)
+        last_rz = max(i for i, g in enumerate(gates) if g.name == "RZ")  # a mixer RZ
+        changed_mixer = list(gates)
+        changed_mixer[last_rz] = Gate("RZ", gates[last_rz].qubits, gates[last_rz].theta + 0.1)
+        wrong_layout = dict(compiled.final_layout)
+        wrong_layout[0], wrong_layout[1] = wrong_layout[1], wrong_layout[0]
+        cases = {
+            "dropped cost rotation": drop_first_rotation(compiled),
+            "changed mixer RZ": with_gates(compiled, changed_mixer),
+            "wrong final_layout": dataclasses.replace(compiled, final_layout=wrong_layout),
+        }
+        for name, bad in cases.items():
+            assert (verify_equivalence(circ, bad), dense_equivalent(circ, bad)) == (
+                False,
+                False,
+            ), name
+
+    def test_unpaired_ry_is_domain_error(self, compiled6):
+        circ, compiled = compiled6
+        gates = list(compiled.circuit.gates)
+        rys = [i for i, g in enumerate(gates) if g.name == "RY"]
+        changed_theta = list(gates)
+        changed_theta[rys[-1]] = Gate("RY", gates[rys[-1]].qubits, gates[rys[-1]].theta + 0.1)
+        moved = list(gates)  # the first RY prepares logical 0; move it onto logical 1's wire
+        moved[rys[0]] = Gate("RY", (compiled.initial_layout[1],), gates[rys[0]].theta)
+        cases = {
+            "changed RY angle": (with_gates(compiled, changed_theta), "RY 17"),
+            "RY moved to another logical qubit": (with_gates(compiled, moved), "RY 0"),
+            "dropped RY": (with_gates(compiled, gates[: rys[-1]] + gates[rys[-1] + 1 :]), "RY 17"),
+        }
+        assert len(rys) == 18
+        for name, (bad, first) in cases.items():
+            with pytest.raises(DomainError, match=f"cannot pair {first}\\b"):
+                verify_equivalence(circ, bad)
+            assert not dense_equivalent(circ, bad), name
+
+    def test_forms_not_a_layout_at_a_cut_is_domain_error(self):
+        # Equal circuits, but wire 1 carries x0 ^ x1 when the RY acts on it.
+        circ = CircuitIR(2, [Gate("CX", (0, 1)), Gate("RY", (1,), 0.5), Gate("CX", (0, 1))])
+        with pytest.raises(DomainError, match="not a layout"):
+            verify_equivalence(circ, circ)
+
+    def test_wide_36_qubit_p2_compilation(self):
+        g = generate_tangle(0, 5, 2, 0.2)
+        h = to_ising(encode_hubo(g, default_walk_length(g)))
+        assert h.num_qubits == 36
+        circ = qaoa_circuit(h, lr_schedule(2, 0.7, 0.3), np.full(36, 0.3))
+        compiled = compile_naive(circ, build_topology("heavy-hex", 4))
+        assert verify_equivalence(circ, compiled)
+        assert not verify_equivalence(circ, drop_first_rotation(compiled))
+
+
 class TestTextFormat:
     def test_round_trip(self):
+        # The exact text that `compile --circuit-out` writes.
         circ = CircuitIR(
             3,
             [
@@ -306,10 +369,6 @@ class TestTextFormat:
                 Gate("SWAP", (1, 2)),
             ],
         )
-        again = CircuitIR.from_text(circ.to_text())
-        assert again.num_qubits == 3
-        assert again.gates == circ.gates
-
-    def test_parse_error_has_line_number(self):
-        with pytest.raises(DomainError, match="line 2"):
-            CircuitIR.from_text("CX 0 1\nRZ oops 0\n")
+        assert circ.to_text() == (
+            "# qubits 3\nRY 0.25 0\nCX 0 1\nMULTIRZ -1.5 0 1 2\nSWAP 1 2\n"
+        )

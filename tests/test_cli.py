@@ -374,3 +374,36 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["generate", "--bogus"])
     assert err.value.code == 2
+
+
+def encoded_with_text_coefficient():
+    assert main(["encode", "tangle2.json", "--kind", "hubo", "-o", "enc.json"]) == 0
+    data = read_json("enc.json")
+    data["terms"][0]["c"] = "x"
+    return data
+
+
+@pytest.mark.parametrize(
+    "argv,data",
+    [
+        pytest.param(["oracle", "bad.json"], 5, id="graph-not-an-object"),
+        pytest.param(
+            ["oracle", "bad.json"], {"n": 2, "weights": 5, "edges": []}, id="weights-not-a-list"
+        ),
+        pytest.param(["solve", "bad.json"], 5, id="solve-input-not-an-object"),
+        pytest.param(
+            ["solve", "bad.json", "--graph", "tangle2.json"],
+            encoded_with_text_coefficient,
+            id="coefficient-not-a-number",
+        ),
+    ],
+)
+def test_json_of_the_wrong_shape_is_domain_error(
+    tmp_path, monkeypatch, capsys, tangle2_file, argv, data
+):
+    monkeypatch.chdir(tmp_path)  # where tangle2_file wrote tangle2.json
+    if callable(data):
+        data = data()
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")

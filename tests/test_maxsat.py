@@ -38,6 +38,29 @@ class TestExport:
                 assignment[problem.meta.placement_vars[(s, l, l)]] = True
         assert all(eval_clause(c, assignment) for c in hard)
 
+    def test_hops_must_pair_into_swaps(self):
+        # grid:2x2 is a 4-cycle.  With all four qubits occupied, rotating every
+        # logical one step around it is a chain of legal hops but not a swap
+        # layer; only the swap-pairing clauses tell the two apart.
+        topo = build_topology("grid", (2, 2))
+        problem = export_wcnf([(0, 1), (2, 3), (0, 3)], topo, swap_depth=1)
+        num_vars, hard, _ = parse_wcnf(problem.text)
+        assert problem.meta.num_logical == 4
+
+        def hard_clauses_hold(before, after):
+            assignment = {v: False for v in range(1, num_vars + 1)}
+            for s, placement in enumerate((before, after)):
+                for l, p in enumerate(placement):
+                    assignment[problem.meta.placement_vars[(s, l, p)]] = True
+            return all(eval_clause(c, assignment) for c in hard)
+
+        identity = (0, 1, 2, 3)
+        rotation = (1, 3, 0, 2)  # logical on 0 -> 1 -> 3 -> 2 -> 0
+        swap_layer = (1, 0, 3, 2)  # SWAP(0, 1) and SWAP(2, 3)
+        assert all(topo.coupled(p, q) for p, q in zip(identity, rotation))
+        assert hard_clauses_hold(identity, swap_layer)
+        assert not hard_clauses_hold(identity, rotation)
+
     def test_clause_growth_is_polynomial(self):
         counts = []
         for n in (3, 4, 5):

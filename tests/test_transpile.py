@@ -8,7 +8,6 @@ from tanglewalk import (
     CircuitIR,
     DomainError,
     Gate,
-    apply_circuit,
     build_topology,
     compile_naive,
     compile_parity,
@@ -32,7 +31,12 @@ from tanglewalk.transpile import (
 )
 
 import test_acceptance as acceptance
-from helpers import dense_cost_matrix, full_rescan_search_layout, greedy_order_plans
+from helpers import (
+    dense_circuit_unitary,
+    dense_cost_matrix,
+    full_rescan_search_layout,
+    greedy_order_plans,
+)
 
 
 def hubo_cost_layer(seed, n_nodes=2, gamma=0.3, T=2):
@@ -82,20 +86,18 @@ class TestQaoaCircuit:
         h = IsingPolynomial(n, terms, constant=float(rng.uniform(-1, 1)))
         gamma = float(rng.uniform(0.1, 1.0))
         layer = CircuitIR(n, cost_layer_gates(h, gamma))
-        out = apply_circuit(layer, np.eye(1 << n, dtype=complex))
+        unitary = dense_circuit_unitary(layer)
         energies = np.diag(dense_cost_matrix(h))
         for idx in range(1 << n):
             expected = np.exp(-1j * gamma * (energies[idx] - h.constant))
-            assert out[idx, idx] == pytest.approx(expected, abs=1e-12)
+            assert unitary[idx, idx] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_simulate_distribution(self, tangle2):
         h = to_ising(encode_hubo(tangle2, 2))
         prior = np.full(4, 0.3)
         schedule = lr_schedule(2, 0.75, 0.30)
         circ = qaoa_circuit(h, schedule, prior)
-        state = np.zeros(16, dtype=complex)
-        state[0] = 1.0
-        probs_circ = np.abs(apply_circuit(circ, state)[0]) ** 2
+        probs_circ = np.abs(dense_circuit_unitary(circ)[:, 0]) ** 2
         probs_sim = simulate(h, prior, schedule)
         assert 0.5 * np.abs(probs_circ - probs_sim).sum() < 1e-12
 

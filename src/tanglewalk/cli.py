@@ -101,12 +101,17 @@ def _encode(g: OrientedGraph, kind: str, length: int | None, args) -> tuple[Bina
     return poly, meta
 
 
-def _layout_from_meta(meta: dict):
-    if meta.get("kind") == "qubo":
-        return QuboLayout(meta["T"], meta["N"])
-    if meta.get("kind") == "hubo":
-        return HuboLayout(meta["T"], meta["bits_per_step"])
-    raise ConfigError("polynomial file lacks a usable 'meta' block (kind/T/N)")
+def _layout_from_meta(meta) -> QuboLayout | HuboLayout:
+    kind = meta.get("kind") if isinstance(meta, dict) else None
+    if kind == "qubo":
+        layout, fields = QuboLayout, ("T", "N")
+    elif kind == "hubo":
+        layout, fields = HuboLayout, ("T", "bits_per_step")
+    else:
+        raise ConfigError("polynomial file lacks a usable 'meta' block (kind/T/N)")
+    if any(type(meta.get(name)) is not int for name in fields):
+        raise ConfigError(f"'meta' of kind {kind} needs integer {' and '.join(fields)}")
+    return layout(*(meta[name] for name in fields))
 
 
 def _decoder(kind: str, layout, g: OrientedGraph):
@@ -167,8 +172,8 @@ def cmd_encode(args) -> int:
 
 
 def _run_solve(g: OrientedGraph, poly: BinaryPolynomial, meta: dict, args, run_seed: int):
-    kind = meta["kind"]
     layout = _layout_from_meta(meta)
+    kind = meta["kind"]
     dbeta, dgamma = _resolve_schedule(kind, args.dbeta, args.dgamma)
     config = RunConfig(
         p=args.p,

@@ -7,18 +7,18 @@ Two compile strategies are provided:
   with shortest-path SWAPs that permute the layout permanently.
 * ``compile_parity``: rotations are planned over Steiner trees of their
   physical supports.  CX networks collect the parity of the rotated set
-  into a coupled pair (executed as one RZZ) or a single qubit (RZ),
-  conduit qubits are cancelled with sandwich CXs, and each rotation's
-  network is mirrored so the run stays diagonal.  Rotations are ordered
-  to maximise shared network prefixes, which a commutation-aware
-  peephole pass then cancels between consecutive rotations.  No SWAPs
-  are inserted: parity collection reaches across the topology, so no
-  interaction is ever left non-local.
+  into a coupled pair (executed as one RZZ), conduit qubits are cancelled
+  with sandwich CXs, and each rotation's network is mirrored so the run
+  stays diagonal.  Rotations are ordered to maximise shared network
+  prefixes, which a commutation-aware peephole pass then cancels between
+  consecutive rotations.  No SWAPs are inserted: parity collection reaches
+  across the topology, so no interaction is ever left non-local.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -212,8 +212,6 @@ def _path_to_set(topo: Topology, start: int, targets: set[int]) -> list[int]:
     """Shortest path from ``start`` to any node of ``targets`` (BFS, sorted ties)."""
     if start in targets:
         return [start]
-    from collections import deque
-
     parent = {start: start}
     frontier = deque([start])
     while frontier:
@@ -232,31 +230,20 @@ def _path_to_set(topo: Topology, start: int, targets: set[int]) -> list[int]:
 
 
 def _collect_gates(
-    adj: dict[int, list[int]], root: int, members: frozenset[int], banned: int | None = None
+    adj: dict[int, list[int]], root: int, members: frozenset[int], banned: int
 ) -> list[Gate]:
     """CX network folding every member parity of the subtree into ``root``.
 
     Member children contribute one CX toward the parent; conduit children
     are sandwiched (CX before and after their own collection) so their
-    resident value cancels out of the accumulated parity.
+    resident value cancels out of the accumulated parity.  The subtree
+    excludes ``banned``'s side; its leaves are all terminals, so members.
     """
-
-    def subtree_has_member(node: int, parent: int | None) -> bool:
-        if node in members:
-            return True
-        return any(
-            subtree_has_member(c, node)
-            for c in adj[node]
-            if c != parent and c != banned
-        )
-
     gates: list[Gate] = []
 
-    def rec(node: int, parent: int | None):
+    def rec(node: int, parent: int):
         for child in adj[node]:
-            if child == parent or child == banned:
-                continue
-            if not subtree_has_member(child, node):
+            if child == parent:
                 continue
             if child in members:
                 rec(child, node)
@@ -266,7 +253,7 @@ def _collect_gates(
                 rec(child, node)
                 gates.append(Gate("CX", (child, node)))
 
-    rec(root, None)
+    rec(root, banned)
     return gates
 
 
@@ -275,47 +262,28 @@ class _RotationPlan:
     network: tuple[Gate, ...]  # parity-collection CXs (mirrored after the rotation)
     rotation: Gate
 
-    @property
-    def two_qubit_cost(self) -> int:
-        return 2 * len(self.network) + (1 if self.rotation.name == "RZZ" else 0)
-
     def emit(self) -> list[Gate]:
         return list(self.network) + [self.rotation] + list(reversed(self.network))
 
 
 def _plan_rotation(topo: Topology, support: frozenset[int], theta: float) -> _RotationPlan:
-    """Pick the cheapest parity-collection plan for one Z rotation."""
-    if len(support) == 1:
-        (q,) = support
-        return _RotationPlan((), Gate("RZ", (q,), theta))
+    """Collect the parity of a 2+ qubit support onto one Steiner-tree edge for an RZZ.
+
+    For a tree of V nodes, c of them conduits (outside the support), every
+    edge touching the support costs 2(V-2+c)+1 two-qubit gates and every
+    single-qubit RZ root 2(V-1+c), so any such edge is cheapest; the
+    largest (u, v), u < v, is taken.
+    """
     adj = _steiner_tree(topo, support)
-    candidates: list[tuple[tuple, _RotationPlan]] = []
-
-    for u in sorted(adj):
-        for v in adj[u]:
-            if u > v:
-                continue
-            members_here = (u in support) + (v in support)
-            if members_here == 0:
-                continue
-            network: list[Gate] = []
-            if members_here == 1:
-                conduit, member = (u, v) if v in support else (v, u)
-                network.append(Gate("CX", (conduit, member)))
-            network += _collect_gates(adj, u, support, banned=v)
-            network += _collect_gates(adj, v, support, banned=u)
-            plan = _RotationPlan(tuple(network), Gate("RZZ", (u, v), theta))
-            rank = (plan.two_qubit_cost, 0, (-u, -v))
-            candidates.append((rank, plan))
-
-    for root in sorted(support):
-        network = _collect_gates(adj, root, support)
-        plan = _RotationPlan(tuple(network), Gate("RZ", (root,), theta))
-        rank = (plan.two_qubit_cost, 1, (-root,))
-        candidates.append((rank, plan))
-
-    candidates.sort(key=lambda item: item[0])
-    return candidates[0][1]
+    u, v = max((a, b) for a in adj for b in adj[a] if a < b and (a in support or b in support))
+    network: list[Gate] = []
+    if u not in support:
+        network.append(Gate("CX", (u, v)))
+    elif v not in support:
+        network.append(Gate("CX", (v, u)))
+    network += _collect_gates(adj, u, support, v)
+    network += _collect_gates(adj, v, support, u)
+    return _RotationPlan(tuple(network), Gate("RZZ", (u, v), theta))
 
 
 def _order_plans(plans: list[_RotationPlan], order_cap: int) -> list[int]:
@@ -430,9 +398,7 @@ def _verify_diagonal_run(gates: list[Gate], expected: list[tuple[int, float]], n
         raise TanglewalkError("internal: compiled rotations do not match the cost terms")
 
 
-def _compile_diagonal_run(
-    gates: list[Gate], topo: Topology, place: _Placement, order_cap: int
-) -> list[Gate]:
+def _compile_diagonal_run(gates: list[Gate], topo: Topology, place: _Placement) -> list[Gate]:
     singles: list[Gate] = []
     plans: list[_RotationPlan] = []
     expected: list[tuple[int, float]] = []
@@ -443,7 +409,7 @@ def _compile_diagonal_run(
             singles.append(Gate("RZ", phys, g.theta))
         else:
             plans.append(_plan_rotation(topo, frozenset(phys), g.theta))
-    ordered = _order_plans(plans, order_cap)
+    ordered = _order_plans(plans, DEFAULT_ORDER_CAP)
     emitted: list[Gate] = []
     for idx in ordered:
         emitted.extend(plans[idx].emit())
@@ -456,7 +422,6 @@ def compile_parity(
     circ: CircuitIR,
     topo: Topology,
     layout: dict[int, int] | None = None,
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> CompiledCircuit:
     """Parity-network compilation of the diagonal blocks of a circuit.
 
@@ -479,7 +444,7 @@ def compile_parity(
             run.append(g)
             continue
         if run:
-            out.extend(_compile_diagonal_run(run, topo, place, order_cap))
+            out.extend(_compile_diagonal_run(run, topo, place))
             run = []
         if len(g.qubits) == 1:
             out.append(Gate(g.name, (place.l2p[g.qubits[0]],), g.theta))
@@ -490,7 +455,7 @@ def compile_parity(
             if g.name == "SWAP":
                 place.swap_physical(place.l2p[a], place.l2p[b])
     if run:
-        out.extend(_compile_diagonal_run(run, topo, place, order_cap))
+        out.extend(_compile_diagonal_run(run, topo, place))
 
     return CompiledCircuit(
         CircuitIR(topo.num_qubits, out),

@@ -8,8 +8,10 @@ embedded logical basis state through both circuits:
 ``basis_phase_equivalent`` as concrete wire bits plus a phase, for
 CX/SWAP/diagonal circuits, and ``dense_equivalent`` as amplitudes, one
 k-qubit gate matrix at a time, for circuits with RY.  The compiler oracles
-at the end are the original full-rescan layout search and greedy plan
-ordering, kept as the reference the fast paths must match.
+at the end are the original full-rescan layout search, greedy plan
+ordering and candidate-ranking parity planner, kept as the reference the
+fast paths must match; they share only the ``Gate`` and ``_RotationPlan``
+records with the package.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import collections
 import itertools
 
 import numpy as np
+
+from tanglewalk.circuits import Gate
+from tanglewalk.transpile import _RotationPlan
 
 try:
     from scipy.linalg import expm
@@ -434,3 +439,136 @@ def greedy_order_plans(plans: list[_RotationPlan], order_cap: int) -> list[int]:
             chain.insert(0, chosen)
         remaining.discard(chosen)
     return chain
+
+
+# ---------------------------------------------------------------------------
+# Planner oracle: the parity planner as it was before it built only the
+# winning plan.  It builds a full CX network for every Steiner-tree edge
+# touching the support and for every support qubit as an RZ root, ranks them
+# by two-qubit cost, and keeps the first.  The copies use only ``Gate``,
+# ``_RotationPlan`` and ``Topology.neighbors``; the plan cost is computed
+# here, and a disconnected topology raises ``ValueError``.
+
+
+def _old_two_qubit_cost(plan) -> int:
+    return 2 * len(plan.network) + (1 if plan.rotation.name == "RZZ" else 0)
+
+
+def old_steiner_tree(topo: Topology, terminals: frozenset[int]) -> dict[int, list[int]]:
+    """Deterministic approximate Steiner tree as an adjacency dict."""
+    terms = sorted(terminals)
+    tree_nodes = {terms[0]}
+    adj: dict[int, list[int]] = {terms[0]: []}
+    for _ in terms[1:]:
+        missing = [t for t in terms if t not in tree_nodes]
+        if not missing:
+            break
+        best_path = None
+        for t in missing:
+            path = old_path_to_set(topo, t, tree_nodes)
+            if best_path is None or (len(path), path) < (len(best_path), best_path):
+                best_path = path
+        for a, b in zip(best_path, best_path[1:]):
+            adj.setdefault(a, [])
+            adj.setdefault(b, [])
+            if b not in adj[a]:
+                adj[a].append(b)
+                adj[b].append(a)
+            tree_nodes.add(a)
+            tree_nodes.add(b)
+    return {node: sorted(nbrs) for node, nbrs in adj.items()}
+
+
+def old_path_to_set(topo: Topology, start: int, targets: set[int]) -> list[int]:
+    """Shortest path from ``start`` to any node of ``targets`` (BFS, sorted ties)."""
+    if start in targets:
+        return [start]
+    parent = {start: start}
+    frontier = collections.deque([start])
+    while frontier:
+        cur = frontier.popleft()
+        for nb in topo.neighbors(cur):
+            if nb in parent:
+                continue
+            parent[nb] = cur
+            if nb in targets:
+                path = [nb]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            frontier.append(nb)
+    raise ValueError("topology is disconnected")
+
+
+def old_collect_gates(
+    adj: dict[int, list[int]], root: int, members: frozenset[int], banned: int | None = None
+) -> list:
+    """CX network folding every member parity of the subtree into ``root``.
+
+    Member children contribute one CX toward the parent; conduit children
+    are sandwiched (CX before and after their own collection) so their
+    resident value cancels out of the accumulated parity.
+    """
+
+    def subtree_has_member(node: int, parent: int | None) -> bool:
+        if node in members:
+            return True
+        return any(
+            subtree_has_member(c, node)
+            for c in adj[node]
+            if c != parent and c != banned
+        )
+
+    gates: list = []
+
+    def rec(node: int, parent: int | None):
+        for child in adj[node]:
+            if child == parent or child == banned:
+                continue
+            if not subtree_has_member(child, node):
+                continue
+            if child in members:
+                rec(child, node)
+                gates.append(Gate("CX", (child, node)))
+            else:
+                gates.append(Gate("CX", (child, node)))
+                rec(child, node)
+                gates.append(Gate("CX", (child, node)))
+
+    rec(root, None)
+    return gates
+
+
+def old_plan_rotation(topo: Topology, support: frozenset[int], theta: float) -> _RotationPlan:
+    """Pick the cheapest parity-collection plan for one Z rotation."""
+    if len(support) == 1:
+        (q,) = support
+        return _RotationPlan((), Gate("RZ", (q,), theta))
+    adj = old_steiner_tree(topo, support)
+    candidates: list = []
+
+    for u in sorted(adj):
+        for v in adj[u]:
+            if u > v:
+                continue
+            members_here = (u in support) + (v in support)
+            if members_here == 0:
+                continue
+            network: list = []
+            if members_here == 1:
+                conduit, member = (u, v) if v in support else (v, u)
+                network.append(Gate("CX", (conduit, member)))
+            network += old_collect_gates(adj, u, support, banned=v)
+            network += old_collect_gates(adj, v, support, banned=u)
+            plan = _RotationPlan(tuple(network), Gate("RZZ", (u, v), theta))
+            rank = (_old_two_qubit_cost(plan), 0, (-u, -v))
+            candidates.append((rank, plan))
+
+    for root in sorted(support):
+        network = old_collect_gates(adj, root, support)
+        plan = _RotationPlan(tuple(network), Gate("RZ", (root,), theta))
+        rank = (_old_two_qubit_cost(plan), 1, (-root,))
+        candidates.append((rank, plan))
+
+    candidates.sort(key=lambda item: item[0])
+    return candidates[0][1]

@@ -158,6 +158,20 @@ class TestSolve:
         bad.write_text(json.dumps({"n_vars": 2, "terms": []}))
         assert main(["solve", str(bad), "--graph", tangle2_file]) == 2
 
+    @pytest.mark.parametrize(
+        "meta",
+        [{}, {"kind": "hubo"}, "x", {"kind": "qubo", "T": "3", "N": 2}],
+        ids=["empty", "hubo-without-sizes", "not-an-object", "qubo-T-not-an-integer"],
+    )
+    def test_unusable_meta_is_config_error(self, tmp_path, tangle2_file, capsys, meta):
+        enc = tmp_path / "enc.json"
+        assert main(["encode", tangle2_file, "--kind", "hubo", "-o", str(enc)]) == 0
+        data = read_json(enc)
+        data["meta"] = meta
+        enc.write_text(json.dumps(data))
+        assert main(["solve", str(enc), "--graph", tangle2_file]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSweep:
     def test_csv_shape(self, tmp_path):

@@ -26,6 +26,7 @@ from tanglewalk.transpile import (
     _order_plans,
     _plan_rotation,
     _RotationPlan,
+    _steiner_tree,
     cost_layer_gates,
     search_layout,
 )
@@ -36,6 +37,7 @@ from helpers import (
     dense_cost_matrix,
     full_rescan_search_layout,
     greedy_order_plans,
+    old_plan_rotation,
 )
 
 
@@ -340,6 +342,43 @@ class TestLayoutSearchMatchesOracle:
         assert h.num_qubits == width
         layer = CircuitIR(width, cost_layer_gates(h, 0.3))
         assert_layout_matches_oracle(layer, build_topology(*topo_args))
+
+
+PLANNER_TOPOLOGIES = [
+    ("linear", 12),
+    ("grid", (4, 5)),
+    ("grid", (5, 5)),
+    ("heavy-hex", 1),
+    ("heavy-hex", 2),
+    ("heavy-hex", 4),
+]
+
+
+def random_supports(topo, seed: int, count: int, smallest: int) -> list[frozenset[int]]:
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(smallest, min(8, topo.num_qubits) + 1, size=count)
+    return [frozenset(rng.choice(topo.num_qubits, size=k, replace=False).tolist()) for k in sizes]
+
+
+class TestPlanRotationMatchesOracle:
+    @pytest.mark.parametrize("index", range(len(PLANNER_TOPOLOGIES)))
+    def test_random_supports(self, index):
+        # 6 x 200 supports: the single-edge plan equals the cheapest of the
+        # candidate plans the oracle builds and ranks.
+        topo = build_topology(*PLANNER_TOPOLOGIES[index])
+        for support in random_supports(topo, index, 200, 2):
+            theta = float(len(support)) / 7
+            assert _plan_rotation(topo, support, theta) == old_plan_rotation(topo, support, theta)
+
+    @pytest.mark.parametrize("index", range(len(PLANNER_TOPOLOGIES)))
+    def test_steiner_leaves_are_terminals(self, index):
+        # The planner collects every child subtree unchecked, which is sound
+        # only because no subtree is free of support qubits.
+        topo = build_topology(*PLANNER_TOPOLOGIES[index])
+        for support in random_supports(topo, 100 + index, 200, 1):
+            adj = _steiner_tree(topo, support)
+            assert support <= set(adj)
+            assert all(node in support for node, nbrs in adj.items() if len(nbrs) <= 1)
 
 
 def random_plans(rng, m: int, alphabet: int, max_len: int) -> list:

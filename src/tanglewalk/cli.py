@@ -227,6 +227,8 @@ def _parse_grid_axis(spec: str, flag: str) -> list[float]:
     try:
         if ":" in spec:
             start, stop, num = spec.split(":")
+            if int(num) < 1:
+                raise ConfigError(f"{flag} range needs a count >= 1, got {spec!r}")
             return [float(x) for x in np.linspace(float(start), float(stop), int(num))]
         return [float(x) for x in spec.split(",")]
     except ValueError as exc:

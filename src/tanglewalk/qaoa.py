@@ -8,7 +8,12 @@ fraction of shots, and feeds an energy-weighted Z expectation back into
 the next iteration's bit-flip probabilities.
 
 The simulation is an exact dense statevector; widths are capped so a
-single state fits comfortably in memory.
+single state fits comfortably in memory.  Each mixer pass updates the
+state in place through three half-length buffers.  ``sweep`` needs only
+the probability of the optimal states, so it runs the last mixer as a
+light cone that computes only the optimal amplitudes, and gathers each
+cost phase from one exponential per distinct energy; its values equal
+``p_opt(simulate(...))`` bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ def lr_schedule(p: int, dbeta: float, dgamma: float) -> QaoaSchedule:
     """beta_k = (1 - (2k-1)/2p) * dbeta and gamma_k = ((2k-1)/2p) * dgamma."""
     if p < 1:
         raise DomainError(f"layer count p must be >= 1, got {p}")
+    if not (math.isfinite(dbeta) and math.isfinite(dgamma)):
+        raise DomainError(f"dbeta and dgamma must be finite, got {dbeta} and {dgamma}")
     ramp = [(2 * k - 1) / (2 * p) for k in range(1, p + 1)]
     betas = tuple((1 - r) * dbeta for r in ramp)
     gammas = tuple(r * dgamma for r in ramp)
@@ -70,12 +77,103 @@ def _mixer_matrix(beta: float, phi: float) -> np.ndarray:
     return ry @ rz @ ry.conj().T
 
 
-def _apply_single_qubit(state: np.ndarray, gate: np.ndarray, qubit: int, n: int):
-    view = state.reshape(1 << (n - qubit - 1), 2, 1 << qubit)
-    lo = view[:, 0, :].copy()
+def _checked_prior(h: IsingPolynomial, prior: Sequence[float], qubit_cap: int) -> np.ndarray:
+    n = h.num_qubits
+    if n > qubit_cap:
+        raise SizeCapError(f"{n} qubits exceeds statevector cap {qubit_cap}")
+    prior = np.asarray(prior, dtype=float)
+    if prior.shape != (n,):
+        raise DomainError(f"prior must have {n} entries, got shape {prior.shape}")
+    if not np.all((prior >= 0) & (prior <= 1)):
+        raise DomainError("prior probabilities must lie in [0, 1]")
+    return prior
+
+
+def _product_state(phi: np.ndarray) -> np.ndarray:
+    state = np.ones(1, dtype=complex)
+    for angle in phi:
+        amp = np.array([np.cos(angle / 2), np.sin(angle / 2)], dtype=complex)
+        state = np.kron(amp, state)
+    return state
+
+
+def _scratch(n: int) -> np.ndarray:
+    # Three half-length buffers: the mixer's copy of the low half and its
+    # two products, or the phase of one half of the state.  Below two
+    # qubits the phase goes in one piece: NumPy's in-place multiply of a
+    # single complex element takes a scalar loop that rounds differently
+    # from the vector loop of longer arrays.
+    return np.empty((3, max(1 << n >> 1, 2)), dtype=complex)
+
+
+def _halves(block: np.ndarray):
+    half = block.shape[1]
+    return slice(0, half), slice(half, None)
+
+
+def _phase(state: np.ndarray, gamma: float, energies: np.ndarray, block: np.ndarray):
+    """In place: state *= exp(-i gamma E), one half at a time."""
+    for part in _halves(block):
+        buf = block[0, : state[part].size]
+        np.multiply(-1j * gamma, energies[part], out=buf)
+        np.exp(buf, out=buf)
+        np.multiply(state[part], buf, out=state[part])
+
+
+def _table_phase(state: np.ndarray, table: np.ndarray, level: np.ndarray, block: np.ndarray):
+    """In place: state *= table[level], one half at a time."""
+    for part in _halves(block):
+        buf = block[0, : state[part].size]
+        np.take(table, level[part], out=buf)
+        np.multiply(state[part], buf, out=state[part])
+
+
+def _mix(state: np.ndarray, gate: np.ndarray, qubit: int, block: np.ndarray):
+    """In place: apply the 2x2 ``gate`` to ``qubit`` of a 2^n statevector.
+
+    Each product is written to a contiguous buffer before the sum goes
+    back into the state, so every amplitude is computed exactly as
+    ``gate[b, 0] * lo + gate[b, 1] * hi`` on fresh arrays would be.
+    """
+    view = state.reshape(-1, 2, 1 << qubit)
+    lo_copy, t0, t1 = (buf[: state.size >> 1].reshape(-1, 1 << qubit) for buf in block)
+    np.copyto(lo_copy, view[:, 0, :])
     hi = view[:, 1, :]
-    view[:, 0, :] = gate[0, 0] * lo + gate[0, 1] * hi
-    view[:, 1, :] = gate[1, 0] * lo + gate[1, 1] * hi
+    for b in (0, 1):
+        np.multiply(gate[b, 0], lo_copy, out=t0)
+        np.multiply(gate[b, 1], hi, out=t1)
+        np.add(t0, t1, out=view[:, b, :])
+
+
+def _light_cone(state: np.ndarray, gates, targets, block: np.ndarray) -> np.ndarray:
+    """Amplitudes at the sorted indices ``targets`` after one mixer pass per qubit.
+
+    Pass q applies ``gates[q]`` to qubit q, as ``_mix`` does, but keeps
+    only the slices whose index bits 0..q match some target: later passes
+    never mix those bits, so the other slices cannot reach a target.
+    Each kept slice is stored contiguously, holding the amplitudes of
+    one low-bit pattern in ascending order of the high bits.  The stages
+    alternate between ``state`` and the first two thirds of ``block``;
+    the last third holds one product.  ``state`` is overwritten.
+    """
+    areas = (block.reshape(-1), state)
+    src, patterns = state, [0]
+    for q, gate in enumerate(gates):
+        mask = (2 << q) - 1
+        kept = sorted({t & mask for t in targets})
+        parent = {pattern: row for row, pattern in enumerate(patterns)}
+        rows = src.reshape(len(patterns), -1)
+        width = rows.shape[1] >> 1
+        out = areas[q & 1][: len(kept) * width].reshape(len(kept), width)
+        tmp = block[2, :width]
+        for row, pattern in enumerate(kept):
+            b = pattern >> q
+            parent_row = rows[parent[pattern & (mask >> 1)]]
+            np.multiply(gate[b, 0], parent_row[0::2], out=tmp)
+            np.multiply(gate[b, 1], parent_row[1::2], out=out[row])
+            np.add(tmp, out[row], out=out[row])
+        src, patterns = out.reshape(-1), kept
+    return src
 
 
 def simulate(
@@ -91,26 +189,17 @@ def simulate(
     passed to reuse a precomputed cost diagonal.
     """
     n = h.num_qubits
-    if n > qubit_cap:
-        raise SizeCapError(f"{n} qubits exceeds statevector cap {qubit_cap}")
-    prior = np.asarray(prior, dtype=float)
-    if prior.shape != (n,):
-        raise DomainError(f"prior must have {n} entries, got shape {prior.shape}")
-    if not np.all((prior >= 0) & (prior <= 1)):
-        raise DomainError("prior probabilities must lie in [0, 1]")
+    prior = _checked_prior(h, prior, qubit_cap)
     if energies is None:
         energies = diagonal(h, qubit_cap)
 
     phi = 2 * np.arcsin(np.sqrt(prior))
-    state = np.ones(1, dtype=complex)
-    for q in range(n):
-        amp = np.array([np.cos(phi[q] / 2), np.sin(phi[q] / 2)], dtype=complex)
-        state = np.kron(amp, state)
-
+    state = _product_state(phi)
+    block = _scratch(n)
     for beta, gamma in zip(schedule.betas, schedule.gammas):
-        state *= np.exp(-1j * gamma * energies)
+        _phase(state, gamma, energies, block)
         for q in range(n):
-            _apply_single_qubit(state, _mixer_matrix(beta, phi[q]), q, n)
+            _mix(state, _mixer_matrix(beta, phi[q]), q, block)
     return np.abs(state) ** 2
 
 
@@ -147,16 +236,19 @@ def sample(
     if shots < 0:
         raise DomainError(f"shots must be >= 0, got {shots}")
     probs = np.asarray(probs, dtype=float)
-    n = int(np.log2(len(probs)))
-    if 1 << n != len(probs):
+    n = len(probs).bit_length() - 1
+    if n < 0 or 1 << n != len(probs):
         raise DomainError("probability vector length must be a power of two")
     if not np.all(np.isfinite(probs) & (probs >= 0)):
         raise DomainError("probabilities must be finite and non-negative")
+    total = probs.sum()
+    if not total > 0:
+        raise DomainError("probabilities must not all be zero")
     if shots == 0:
         empty = np.array([], dtype=np.uint64)
         return SampleBatch(n, empty, empty.astype(np.int64), empty.astype(float), 0, iteration)
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs / probs.sum())
+    counts = rng.multinomial(shots, probs / total)
     hit = np.nonzero(counts)[0]
     return SampleBatch(
         num_qubits=n,
@@ -423,13 +515,39 @@ def sweep(
     """Evaluate p_opt over a (dbeta, dgamma) grid for each circuit depth.
 
     The optimal set is the argmin of the cost diagonal.  Rows come back
-    sorted by (p, dbeta, dgamma) regardless of input order.
+    sorted by (p, dbeta, dgamma) regardless of input order.  Each value
+    equals ``p_opt(simulate(...), optimal)`` exactly, but the last mixer
+    computes only the optimal amplitudes (``_light_cone``), and the cost
+    phase is gathered from one exp per distinct energy.
     """
     energies = diagonal(h, qubit_cap)
+    prior = _checked_prior(h, prior, qubit_cap)
+    schedules = [
+        lr_schedule(p, dbeta, dgamma)
+        for p in sorted(set(p_values))
+        for dbeta, dgamma in sorted(set(grid))
+    ]
     optimal = set(np.flatnonzero(energies == energies.min()).tolist())
+    targets = sorted(optimal)
+    position = {t: j for j, t in enumerate(targets)}
+    order = [position[i] for i in set(optimal)]  # p_opt's summation order
+    levels, level = np.unique(energies, return_inverse=True)
+    level = level.astype(np.min_scalar_type(len(levels) - 1))
+    del energies  # the phase comes from the levels from here on
+    phi = 2 * np.arcsin(np.sqrt(prior))
+    block = _scratch(h.num_qubits)
     rows = []
-    for p in sorted(set(p_values)):
-        for dbeta, dgamma in sorted(set(grid)):
-            probs = simulate(h, prior, lr_schedule(p, dbeta, dgamma), qubit_cap, energies=energies)
-            rows.append((p, dbeta, dgamma, p_opt(probs, optimal)))
+    for schedule in schedules:
+        state = _product_state(phi)
+        for layer, (beta, gamma) in enumerate(zip(schedule.betas, schedule.gammas), 1):
+            _table_phase(state, np.exp(-1j * gamma * levels), level, block)
+            gates = [_mixer_matrix(beta, angle) for angle in phi]
+            if layer == schedule.p:
+                amps = _light_cone(state, gates, targets, block)
+            else:
+                for q, gate in enumerate(gates):
+                    _mix(state, gate, q, block)
+        probs = np.abs(amps) ** 2  # an array: NumPy scalars square with other rounding
+        popt = float(sum(probs[j] for j in order))
+        rows.append((schedule.p, schedule.dbeta, schedule.dgamma, popt))
     return rows

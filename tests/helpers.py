@@ -11,7 +11,9 @@ k-qubit gate matrix at a time, for circuits with RY.  The compiler oracles
 at the end are the original full-rescan layout search, greedy plan
 ordering and candidate-ranking parity planner, kept as the reference the
 fast paths must match; they share only the ``Gate`` and ``_RotationPlan``
-records with the package.
+records with the package.  The simulator oracle at the very end is
+``simulate`` as it was before its in-place mixer, kept as the reference
+the in-place kernels must match bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import itertools
 import numpy as np
 
 from tanglewalk.circuits import Gate
+from tanglewalk.errors import DomainError, SizeCapError
+from tanglewalk.ising import diagonal
+from tanglewalk.qaoa import STATEVECTOR_QUBIT_CAP, _mixer_matrix
 from tanglewalk.transpile import _RotationPlan
 
 try:
@@ -572,3 +577,54 @@ def old_plan_rotation(topo: Topology, support: frozenset[int], theta: float) -> 
 
     candidates.sort(key=lambda item: item[0])
     return candidates[0][1]
+
+
+# ---------------------------------------------------------------------------
+# Simulator oracle: ``simulate`` as it was before the in-place mixer, the
+# halved phase and the light cone.  Each mixer pass copies the low half and
+# builds fresh arrays; the phase is one full-length exponential.  The copies
+# share only the mixer's 2x2 matrix and the cost diagonal with the package.
+
+
+def old_apply_single_qubit(state: np.ndarray, gate: np.ndarray, qubit: int, n: int):
+    view = state.reshape(1 << (n - qubit - 1), 2, 1 << qubit)
+    lo = view[:, 0, :].copy()
+    hi = view[:, 1, :]
+    view[:, 0, :] = gate[0, 0] * lo + gate[0, 1] * hi
+    view[:, 1, :] = gate[1, 0] * lo + gate[1, 1] * hi
+
+
+def old_simulate(
+    h,
+    prior,
+    schedule,
+    qubit_cap: int = STATEVECTOR_QUBIT_CAP,
+    energies: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact output distribution of one warm-started LR-QAOA circuit.
+
+    Returns |amplitude|^2 over all 2^n basis states.  ``energies`` may be
+    passed to reuse a precomputed cost diagonal.
+    """
+    n = h.num_qubits
+    if n > qubit_cap:
+        raise SizeCapError(f"{n} qubits exceeds statevector cap {qubit_cap}")
+    prior = np.asarray(prior, dtype=float)
+    if prior.shape != (n,):
+        raise DomainError(f"prior must have {n} entries, got shape {prior.shape}")
+    if not np.all((prior >= 0) & (prior <= 1)):
+        raise DomainError("prior probabilities must lie in [0, 1]")
+    if energies is None:
+        energies = diagonal(h, qubit_cap)
+
+    phi = 2 * np.arcsin(np.sqrt(prior))
+    state = np.ones(1, dtype=complex)
+    for q in range(n):
+        amp = np.array([np.cos(phi[q] / 2), np.sin(phi[q] / 2)], dtype=complex)
+        state = np.kron(amp, state)
+
+    for beta, gamma in zip(schedule.betas, schedule.gammas):
+        state *= np.exp(-1j * gamma * energies)
+        for q in range(n):
+            old_apply_single_qubit(state, _mixer_matrix(beta, phi[q]), q, n)
+    return np.abs(state) ** 2

@@ -214,6 +214,17 @@ class TestSweep:
         monkeypatch.setenv("TANGLEWALK_WORKERS", requested)
         assert _workers(tasks) == expected
 
+    @pytest.mark.parametrize("axis", ["nan", "inf"])
+    def test_non_finite_axis_is_domain_error(self, tmp_path, capsys, axis):
+        out = tmp_path / "s.csv"
+        code = main(
+            ["sweep", "--seed", "1", "--nodes", "2", "--kind", "hubo", "--p", "1",
+             "--dbetas", axis, "--dgammas", "0.1", "-o", str(out)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_bad_worker_env_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TANGLEWALK_WORKERS", "lots")
         code = main(
@@ -358,6 +369,7 @@ SMALL = ["--seed", "1", "--nodes", "2", "--max-weight", "1"]
         pytest.param(["sweep", *SMALL, "--p", "1,x"], {}, id="sweep-p"),
         pytest.param(["sweep", *SMALL, "--dbetas", "0.1:1.0"], {}, id="range-two-parts"),
         pytest.param(["sweep", *SMALL, "--dbetas", "abc"], {}, id="axis-not-float"),
+        pytest.param(["sweep", *SMALL, "--dgammas", "0:1:0"], {}, id="range-count-zero"),
         pytest.param(["pipeline", *SMALL, "--seeds", "0,a"], {}, id="pipeline-seeds"),
         pytest.param(
             ["pipeline", "--config", "exp.toml"], {"exp.toml": b"seeds = [0, a]\n"},

@@ -17,6 +17,8 @@ from tanglewalk import (
     cvar_filter,
     diagonal,
     encode_hubo,
+    encode_qubo,
+    generate_tangle,
     initial_prior,
     iterative_qaoa,
     lr_schedule,
@@ -28,7 +30,7 @@ from tanglewalk import (
     update_prior,
 )
 
-from helpers import dense_qaoa_distribution
+from helpers import dense_qaoa_distribution, old_simulate
 
 
 def make_batch(indices, counts, energies, n=2, shots=None):
@@ -63,6 +65,11 @@ class TestSchedule:
     def test_rejects_p_zero(self):
         with pytest.raises(DomainError):
             lr_schedule(0, 1, 1)
+
+    @pytest.mark.parametrize("dbeta,dgamma", [(np.nan, 1), (1, np.inf), (-np.inf, 1)])
+    def test_rejects_non_finite_ramp(self, dbeta, dgamma):
+        with pytest.raises(DomainError):
+            lr_schedule(1, dbeta, dgamma)
 
 
 class TestInitialPrior:
@@ -142,6 +149,56 @@ class TestSimulate:
             simulate(IsingPolynomial(2), np.array([0.5, bad]), lr_schedule(1, 1, 1))
 
 
+def wide_instance(kind):
+    """A 12-qubit planted tangle: QUBO with 2 nodes and T=3, HUBO with 3 nodes and T=4."""
+    if kind == "qubo":
+        return to_ising(encode_qubo(generate_tangle(0, 2, 3, 0.25), 3))
+    return to_ising(encode_hubo(generate_tangle(0, 3, 1, 0.25), 4))
+
+
+def random_ising(n, seed, odd_terms):
+    """Dyadic Z terms of degree 1-3; without odd-degree terms E(x) = E(~x)."""
+    rng = np.random.default_rng(seed)
+    h = IsingPolynomial(n)
+    for degree in (1, 2, 3):
+        if degree > n or (degree % 2 and not odd_terms):
+            continue
+        for _ in range(2 * n):
+            qubits = rng.choice(n, degree, replace=False).tolist()
+            h.add_term(qubits, int(rng.integers(-8, 9)) / 4)
+    return h
+
+
+def oracle_prior(kind, n):
+    rng = np.random.default_rng(5)
+    prior = rng.uniform(0.01, 0.99, n)
+    if kind == "binary":
+        prior[::3] = 0.0
+        prior[1::3] = 1.0
+    return prior
+
+
+class TestSimulateMatchesOracle:
+    @pytest.mark.parametrize("prior_kind", ["open", "binary"])
+    @pytest.mark.parametrize("kind", ["qubo", "hubo"])
+    def test_bit_identical(self, kind, prior_kind):
+        h = wide_instance(kind)
+        assert h.num_qubits == 12
+        prior = oracle_prior(prior_kind, h.num_qubits)
+        for p in (1, 2, 3):
+            schedule = lr_schedule(p, 0.83, 0.41)
+            assert np.array_equal(simulate(h, prior, schedule), old_simulate(h, prior, schedule))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_bit_identical_at_tiny_widths(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(20):
+            h = random_ising(n, trial, odd_terms=True)
+            prior = rng.uniform(0, 1, n)
+            schedule = lr_schedule(1 + trial % 3, *rng.uniform(0, 2, 2))
+            assert np.array_equal(simulate(h, prior, schedule), old_simulate(h, prior, schedule))
+
+
 def encode_hubo_fixture():
     from tanglewalk import OrientedGraph
 
@@ -183,6 +240,12 @@ class TestSample:
     def test_invalid_probabilities_rejected(self, bad):
         with pytest.raises(DomainError):
             sample(np.array([0.5, 0.75, bad, 0.0]), 10, 0, np.zeros(4))
+
+    @pytest.mark.parametrize("probs", [np.zeros(4), np.zeros(0)], ids=["all-zero", "empty"])
+    @pytest.mark.parametrize("shots", [0, 10])
+    def test_no_distribution_rejected(self, probs, shots):
+        with pytest.raises(DomainError):
+            sample(probs, shots, 0, np.zeros(len(probs)))
 
 
 class TestCvarFilter:
@@ -410,3 +473,68 @@ class TestSweep:
         coarse_rows = set(sweep(h, prior, coarse, [1]))
         fine_rows = set(sweep(h, prior, fine, [1]))
         assert coarse_rows <= fine_rows
+
+
+class TestSweepLightCone:
+    @pytest.mark.parametrize(
+        "make,degenerate",
+        [
+            pytest.param(lambda: random_ising(14, 3, odd_terms=True), False, id="one-optimum"),
+            pytest.param(lambda: random_ising(14, 3, odd_terms=False), True, id="mirrored-optima"),
+            pytest.param(
+                lambda: to_ising(encode_qubo(generate_tangle(2, 2, 3, 0.25), 4)),
+                True,
+                id="qubo-16",
+            ),
+        ],
+    )
+    def test_rows_equal_full_distribution(self, make, degenerate):
+        h = make()
+        assert h.num_qubits >= 14
+        energies = diagonal(h)
+        optima = set(np.flatnonzero(energies == energies.min()).tolist())
+        assert (len(optima) > 1) == degenerate
+        prior = oracle_prior("open", h.num_qubits)
+        grid = [(0.9, 0.35), (0.4, 0.7)]
+        expected = [
+            (p, db, dg, p_opt(simulate(h, prior, lr_schedule(p, db, dg)), optima))
+            for p in (1, 2, 3)
+            for db, dg in sorted(grid)
+        ]
+        assert sweep(h, prior, grid, [3, 1, 2]) == expected
+
+    def test_many_cells_one_optimum(self):
+        # One optimum, so each p_opt is a single squared amplitude: squaring
+        # NumPy scalars one by one instead of an array rounds apart about
+        # once in a thousand values, and 1,600 rows make that show.
+        h = random_ising(6, 3, odd_terms=True)
+        energies = diagonal(h)
+        optima = set(np.flatnonzero(energies == energies.min()).tolist())
+        assert len(optima) == 1
+        prior = oracle_prior("open", 6)
+        grid = [(b, g) for b in np.linspace(0.1, 1.5, 40) for g in np.linspace(0.05, 1.2, 40)]
+        expected = [
+            (1, db, dg, p_opt(simulate(h, prior, lr_schedule(1, db, dg)), optima))
+            for db, dg in sorted(grid)
+        ]
+        assert sweep(h, prior, grid, [1]) == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_widths(self, n):
+        h = random_ising(n, 1, odd_terms=True)
+        prior = np.full(n, 0.3)
+        energies = diagonal(h)
+        optima = set(np.flatnonzero(energies == energies.min()).tolist())
+        probs = simulate(h, prior, lr_schedule(2, 0.6, 0.5))
+        assert sweep(h, prior, [(0.6, 0.5)], [2]) == [(2, 0.6, 0.5, p_opt(probs, optima))]
+
+    def test_checks_match_simulate(self):
+        h = IsingPolynomial(8)
+        with pytest.raises(SizeCapError):
+            sweep(h, np.full(8, 0.5), [(0.5, 0.5)], [1], qubit_cap=6)
+        with pytest.raises(DomainError):
+            sweep(h, np.full(7, 0.5), [(0.5, 0.5)], [1])
+        with pytest.raises(DomainError):
+            sweep(h, np.full(8, 1.5), [(0.5, 0.5)], [1])
+        with pytest.raises(DomainError):
+            sweep(h, np.full(8, 0.5), [(0.5, float("nan"))], [1])

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SizeCapError
-from .ising import DIAGONAL_QUBIT_CAP, _walsh_hadamard
+from .errors import DomainError
+from .ising import _check_memory, _walsh_hadamard
 
 ROTATION_GATES = {"RY", "RZ", "RZZ", "MULTIRZ"}
 PLAIN_GATES = {"CX", "SWAP"}
@@ -139,10 +139,7 @@ def _parity_table(coeffs: dict[int, float]) -> tuple[list[int], np.ndarray]:
     for mask in coeffs:
         union |= mask
     support = [q for q in range(union.bit_length()) if (union >> q) & 1]
-    if len(support) > DIAGONAL_QUBIT_CAP:
-        raise SizeCapError(
-            f"parity table over {len(support)} bits exceeds cap {DIAGONAL_QUBIT_CAP}"
-        )
+    _check_memory("parity table", len(support))
     table = np.zeros(1 << len(support))
     for mask, coeff in coeffs.items():
         table[sum(1 << i for i, q in enumerate(support) if (mask >> q) & 1)] += coeff
@@ -232,7 +229,7 @@ def verify_equivalence(a, b, tol: float = 1e-8) -> bool:
     of pi shifts every basis state's phase by the same amount mod 2 pi.  If
     the residues sum to at most tol/2, no relative phase moves by more than
     tol.  Otherwise one Walsh-Hadamard transform over the residues' support
-    (capped at ising.DIAGONAL_QUBIT_CAP bits) gives every relative phase
+    (within ising.MEMORY_BUDGET) gives every relative phase
     delta(x), and the segments agree when each |1 - e^{-i delta(x)}| is at
     most tol, measured from x = 0.  ``tol`` applies per segment.  After the
     last segment, the forms at the final layouts must match and every

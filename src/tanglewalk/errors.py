@@ -24,4 +24,4 @@ class GenerationError(DomainError):
 
 
 class SizeCapError(TanglewalkError):
-    """A size cap (statevector width, enumeration budget, ...) was exceeded."""
+    """A size cap (a dense path's memory estimate, an enumeration budget) was exceeded."""

@@ -28,7 +28,14 @@ import numpy as np
 from .errors import DomainError, SizeCapError
 from .polynomials import BinaryPolynomial, Monomial
 
-DIAGONAL_QUBIT_CAP = 26
+MEMORY_BUDGET = 4 << 30  # bytes any one dense path may peak at
+# Peak bytes of each dense path, 1 MiB (NumPy's iterator buffers) plus a
+# worst case per basis state, bounding tracemalloc peaks at 14-18 qubits.
+# A diagonal is the float64 vector and a half-length temporary.  When every
+# energy differs, sweep holds 8 + 4 bytes of levels and index, a 16-byte
+# state, 24 of half-length buffers, a 16-byte phase table and 4 of index
+# copy; simulate adds the diagonal its caller holds.
+_PEAK_BYTES_PER_STATE = {"diagonal": 12, "parity table": 12, "simulate": 80, "sweep": 72}
 
 
 class IsingPolynomial:
@@ -50,12 +57,14 @@ class IsingPolynomial:
         if coeff == 0:
             return
         key = tuple(sorted(set(qubits)))
-        if not key:
-            self.constant += coeff
-            return
         for q in key:
             if not 0 <= q < self.num_qubits:
                 raise DomainError(f"qubit index {q} outside [0, {self.num_qubits})")
+        if len(key) != len(qubits):  # Z_q * Z_q = 1: only odd repeats remain
+            key = tuple(q for q in key if qubits.count(q) % 2)
+        if not key:
+            self.constant += coeff
+            return
         new = self.terms.get(key, 0) + coeff
         if new == 0:
             self.terms.pop(key, None)
@@ -128,11 +137,24 @@ def _walsh_hadamard(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def diagonal(h: IsingPolynomial, qubit_cap: int = DIAGONAL_QUBIT_CAP) -> np.ndarray:
+def _check_memory(path: str, num_qubits: int) -> int:
+    """Peak-byte estimate of ``path`` over 2^num_qubits states; SizeCapError if over budget.
+
+    Each path calls it before allocating, so an oversized run fails at once.
+    """
+    estimate = (1 << 20) + (_PEAK_BYTES_PER_STATE[path] << num_qubits)
+    if estimate > MEMORY_BUDGET:
+        raise SizeCapError(
+            f"{path} over {num_qubits} qubits needs about {estimate} bytes,"
+            f" over the memory budget of {MEMORY_BUDGET} bytes"
+        )
+    return estimate
+
+
+def diagonal(h: IsingPolynomial) -> np.ndarray:
     """Vector of all 2^n basis energies, index bit i = value of qubit i."""
     n = h.num_qubits
-    if n > qubit_cap:
-        raise SizeCapError(f"diagonal of {n} qubits exceeds cap {qubit_cap}")
+    _check_memory("diagonal", n)
     coeffs = np.zeros(1 << n)
     coeffs[0] = h.constant
     for qubits, coeff in h.terms.items():

@@ -7,13 +7,14 @@ eigenstate), samples the exact output distribution, keeps the best
 fraction of shots, and feeds an energy-weighted Z expectation back into
 the next iteration's bit-flip probabilities.
 
-The simulation is an exact dense statevector; widths are capped so a
-single state fits comfortably in memory.  Each mixer pass updates the
-state in place through three half-length buffers.  ``sweep`` needs only
-the probability of the optimal states, so it runs the last mixer as a
-light cone that computes only the optimal amplitudes, and gathers each
-cost phase from one exponential per distinct energy; its values equal
-``p_opt(simulate(...))`` bit for bit.
+The simulation is an exact dense statevector.  Before allocating,
+``simulate`` and ``sweep`` check their peak-byte estimate against
+``ising.MEMORY_BUDGET`` and raise SizeCapError if it does not fit.  Each
+cost phase is gathered from one exponential per distinct energy, and each
+mixer pass updates the state in place through three half-length buffers.
+``sweep`` needs only the probability of the optimal states, so it runs
+the last mixer as a light cone that computes only the optimal amplitudes;
+its values equal ``p_opt(simulate(...))`` bit for bit.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SizeCapError
-from .ising import IsingPolynomial, diagonal
+from .errors import DomainError
+from .ising import IsingPolynomial, _check_memory, diagonal
 
-STATEVECTOR_QUBIT_CAP = 26
 CLIP_EPSILON = 0.15
 FEEDBACK_TEMPERATURE_START = 0.015
 FEEDBACK_TEMPERATURE_END = 0.045
@@ -77,10 +77,8 @@ def _mixer_matrix(beta: float, phi: float) -> np.ndarray:
     return ry @ rz @ ry.conj().T
 
 
-def _checked_prior(h: IsingPolynomial, prior: Sequence[float], qubit_cap: int) -> np.ndarray:
+def _checked_prior(h: IsingPolynomial, prior: Sequence[float]) -> np.ndarray:
     n = h.num_qubits
-    if n > qubit_cap:
-        raise SizeCapError(f"{n} qubits exceeds statevector cap {qubit_cap}")
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (n,):
         raise DomainError(f"prior must have {n} entries, got shape {prior.shape}")
@@ -111,20 +109,20 @@ def _halves(block: np.ndarray):
     return slice(0, half), slice(half, None)
 
 
-def _phase(state: np.ndarray, gamma: float, energies: np.ndarray, block: np.ndarray):
-    """In place: state *= exp(-i gamma E), one half at a time."""
-    for part in _halves(block):
-        buf = block[0, : state[part].size]
-        np.multiply(-1j * gamma, energies[part], out=buf)
-        np.exp(buf, out=buf)
-        np.multiply(state[part], buf, out=state[part])
+def _levels(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct energies and each state's index into them, in the smallest type."""
+    levels, level = np.unique(energies, return_inverse=True)
+    return levels, level.astype(np.min_scalar_type(len(levels) - 1))
 
 
-def _table_phase(state: np.ndarray, table: np.ndarray, level: np.ndarray, block: np.ndarray):
-    """In place: state *= table[level], one half at a time."""
+def _table_phase(state: np.ndarray, gamma: float, levels, level, block: np.ndarray):
+    """In place: state *= exp(-i gamma E), one exp per distinct energy (``_levels``)."""
+    table = np.multiply(-1j * gamma, levels)
+    np.exp(table, out=table)
     for part in _halves(block):
         buf = block[0, : state[part].size]
-        np.take(table, level[part], out=buf)
+        # mode="raise" (the default) would gather into a buffered copy of ``out``
+        np.take(table, level[part], out=buf, mode="clip")
         np.multiply(state[part], buf, out=state[part])
 
 
@@ -180,24 +178,28 @@ def simulate(
     h: IsingPolynomial,
     prior: Sequence[float],
     schedule: QaoaSchedule,
-    qubit_cap: int = STATEVECTOR_QUBIT_CAP,
     energies: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact output distribution of one warm-started LR-QAOA circuit.
 
     Returns |amplitude|^2 over all 2^n basis states.  ``energies`` may be
-    passed to reuse a precomputed cost diagonal.
+    passed to reuse a precomputed cost diagonal of 2^n entries.
     """
     n = h.num_qubits
-    prior = _checked_prior(h, prior, qubit_cap)
+    _check_memory("simulate", n)
+    prior = _checked_prior(h, prior)
     if energies is None:
-        energies = diagonal(h, qubit_cap)
+        energies = diagonal(h)
+    elif np.shape(energies) != (1 << n,):
+        raise DomainError(f"energies must have {1 << n} entries, got shape {np.shape(energies)}")
+    levels, level = _levels(energies)
+    del energies  # the phase comes from the levels from here on
 
     phi = 2 * np.arcsin(np.sqrt(prior))
     state = _product_state(phi)
     block = _scratch(n)
     for beta, gamma in zip(schedule.betas, schedule.gammas):
-        _phase(state, gamma, energies, block)
+        _table_phase(state, gamma, levels, level, block)
         for q in range(n):
             _mix(state, _mixer_matrix(beta, phi[q]), q, block)
     return np.abs(state) ** 2
@@ -239,6 +241,9 @@ def sample(
     n = len(probs).bit_length() - 1
     if n < 0 or 1 << n != len(probs):
         raise DomainError("probability vector length must be a power of two")
+    energies = np.asarray(energies, dtype=float)
+    if energies.shape != probs.shape:
+        raise DomainError(f"energies must have {len(probs)} entries, got shape {energies.shape}")
     if not np.all(np.isfinite(probs) & (probs >= 0)):
         raise DomainError("probabilities must be finite and non-negative")
     total = probs.sum()
@@ -254,7 +259,7 @@ def sample(
         num_qubits=n,
         indices=hit.astype(np.uint64),
         counts=counts[hit].astype(np.int64),
-        energies=np.asarray(energies, dtype=float)[hit],
+        energies=energies[hit],
         shots=shots,
         iteration=iteration,
     )
@@ -310,21 +315,16 @@ def update_prior(
     batch: SampleBatch,
     feedback_beta: float,
     epsilon: float = CLIP_EPSILON,
-    shift_energies: bool = False,
 ) -> np.ndarray:
     """Energy-weighted bit-flip probabilities for the next iteration.
 
     Samples are weighted by exp(-beta_T * E^2); the weighted Z expectation
     per qubit gives p_i = (1 - <Z_i>)/2, clipped to [epsilon, 1-epsilon]
-    to keep exploring.  Energies enter as-is unless ``shift_energies``
-    subtracts the batch minimum first.
+    to keep exploring.
     """
     if batch.shots == 0 or len(batch.indices) == 0:
         raise DomainError("cannot update prior from an empty batch")
-    energies = batch.energies
-    if shift_energies:
-        energies = energies - energies.min()
-    log_w = -feedback_beta * energies**2
+    log_w = -feedback_beta * batch.energies**2
     weights = batch.counts * np.exp(log_w - log_w.max())
     probs = weights / weights.sum()
     z = probs @ (1 - 2 * batch.bit_matrix())
@@ -344,8 +344,6 @@ class RunConfig:
     seed: int = 0
     epsilon: float = CLIP_EPSILON
     target_energy: float | None = None
-    shift_energies: bool = False
-    qubit_cap: int = STATEVECTOR_QUBIT_CAP
 
     def validate(self):
         if self.p < 1:
@@ -400,8 +398,6 @@ class RunRecord:
                 "seed": self.config.seed,
                 "epsilon": self.config.epsilon,
                 "target_energy": self.config.target_energy,
-                "shift_energies": self.config.shift_energies,
-                "qubit_cap": self.config.qubit_cap,
             },
             "iterations": [
                 {
@@ -455,16 +451,18 @@ def iterative_qaoa(
         if layout is None:
             raise DomainError("either a layout or an explicit prior is required")
         prior = initial_prior(kind, layout)
-    prior = np.asarray(prior, dtype=float)
+    _check_memory("simulate", h.num_qubits)
+    prior = _checked_prior(h, prior)
     schedule = lr_schedule(config.p, config.dbeta, config.dgamma)
-    energies = diagonal(h, config.qubit_cap)
+    energies = diagonal(h)
     seeds = np.random.SeedSequence(config.seed).spawn(config.iterations)
 
     record = RunRecord(kind=kind, config=config)
     termination = "max_iterations"
     for j in range(1, config.iterations + 1):
-        probs = simulate(h, prior, schedule, config.qubit_cap, energies=energies)
+        probs = simulate(h, prior, schedule, energies=energies)
         batch = sample(probs, config.shots, seeds[j - 1], energies, iteration=j)
+        del probs  # the next simulate need not run beside it
         kept = cvar_filter(batch, config.alpha)
         fb = beta_t(j, config.iterations)
 
@@ -492,7 +490,7 @@ def iterative_qaoa(
             record.optimum_iteration = j
             termination = "optimum_sampled"
             break
-        prior = update_prior(kept, fb, config.epsilon, config.shift_energies)
+        prior = update_prior(kept, fb, config.epsilon)
     record.termination = termination
     if decoder is not None and record.best_index >= 0:
         record.decoded_walk = decoder(record.best_bits)
@@ -510,29 +508,27 @@ def sweep(
     prior: np.ndarray,
     grid: Iterable[tuple[float, float]],
     p_values: Iterable[int],
-    qubit_cap: int = STATEVECTOR_QUBIT_CAP,
 ) -> list[tuple[int, float, float, float]]:
     """Evaluate p_opt over a (dbeta, dgamma) grid for each circuit depth.
 
     The optimal set is the argmin of the cost diagonal.  Rows come back
     sorted by (p, dbeta, dgamma) regardless of input order.  Each value
     equals ``p_opt(simulate(...), optimal)`` exactly, but the last mixer
-    computes only the optimal amplitudes (``_light_cone``), and the cost
-    phase is gathered from one exp per distinct energy.
+    computes only the optimal amplitudes (``_light_cone``).
     """
-    energies = diagonal(h, qubit_cap)
-    prior = _checked_prior(h, prior, qubit_cap)
+    _check_memory("sweep", h.num_qubits)
+    prior = _checked_prior(h, prior)
     schedules = [
         lr_schedule(p, dbeta, dgamma)
         for p in sorted(set(p_values))
         for dbeta, dgamma in sorted(set(grid))
     ]
+    energies = diagonal(h)
     optimal = set(np.flatnonzero(energies == energies.min()).tolist())
     targets = sorted(optimal)
     position = {t: j for j, t in enumerate(targets)}
     order = [position[i] for i in set(optimal)]  # p_opt's summation order
-    levels, level = np.unique(energies, return_inverse=True)
-    level = level.astype(np.min_scalar_type(len(levels) - 1))
+    levels, level = _levels(energies)
     del energies  # the phase comes from the levels from here on
     phi = 2 * np.arcsin(np.sqrt(prior))
     block = _scratch(h.num_qubits)
@@ -540,7 +536,7 @@ def sweep(
     for schedule in schedules:
         state = _product_state(phi)
         for layer, (beta, gamma) in enumerate(zip(schedule.betas, schedule.gammas), 1):
-            _table_phase(state, np.exp(-1j * gamma * levels), level, block)
+            _table_phase(state, gamma, levels, level, block)
             gates = [_mixer_matrix(beta, angle) for angle in phi]
             if layer == schedule.p:
                 amps = _light_cone(state, gates, targets, block)
@@ -548,6 +544,7 @@ def sweep(
                 for q, gate in enumerate(gates):
                     _mix(state, gate, q, block)
         probs = np.abs(amps) ** 2  # an array: NumPy scalars square with other rounding
+        del state, amps  # amps views the state: free it before the next product state
         popt = float(sum(probs[j] for j in order))
         rows.append((schedule.p, schedule.dbeta, schedule.dgamma, popt))
     return rows

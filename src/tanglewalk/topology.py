@@ -42,18 +42,8 @@ class Topology:
             adj[a].append(b)
             adj[b].append(a)
         self._adj = {q: tuple(sorted(ns)) for q, ns in adj.items()}
-        if self.num_qubits > 1 and not self._connected():
+        if len(self.distances_from(0)) != self.num_qubits:
             raise DomainError("topology must be connected")
-
-    def _connected(self) -> bool:
-        seen = {0}
-        frontier = deque([0])
-        while frontier:
-            for nb in self._adj[frontier.popleft()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        return len(seen) == self.num_qubits
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adj[q]
@@ -61,9 +51,9 @@ class Topology:
     def coupled(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
-    def shortest_path(self, src: int, dst: int) -> list[int]:
-        """BFS path with smallest-index tie-breaks; includes both endpoints."""
-        if src == dst:
+    def shortest_path(self, src: int, targets) -> list[int]:
+        """BFS path, both ends included, to the nearest of ``targets``; smallest-index ties."""
+        if src in targets:
             return [src]
         parent = {src: src}
         frontier = deque([src])
@@ -72,13 +62,13 @@ class Topology:
             for nb in self._adj[cur]:
                 if nb not in parent:
                     parent[nb] = cur
-                    if nb == dst:
-                        path = [dst]
+                    if nb in targets:
+                        path = [nb]
                         while path[-1] != src:
                             path.append(parent[path[-1]])
                         return path[::-1]
                     frontier.append(nb)
-        raise DomainError(f"no path between {src} and {dst}")
+        raise DomainError(f"no path from {src} to {sorted(targets)}")
 
     def distances_from(self, src: int) -> dict[int, int]:
         dist = {src: 0}

@@ -18,7 +18,6 @@ Two compile strategies are provided:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -118,7 +117,7 @@ class _Placement:
 def _route_adjacent(topo: Topology, place: _Placement, moving: int, target: int, out: list[Gate]):
     """SWAP the qubit holding ``moving`` along a shortest path until coupled."""
     while not topo.coupled(place.l2p[moving], place.l2p[target]):
-        path = topo.shortest_path(place.l2p[moving], place.l2p[target])
+        path = topo.shortest_path(place.l2p[moving], {place.l2p[target]})
         out.append(Gate("SWAP", (path[0], path[1])))
         place.swap_physical(path[0], path[1])
 
@@ -194,7 +193,7 @@ def _steiner_tree(topo: Topology, terminals: frozenset[int]) -> dict[int, list[i
             break
         best_path = None
         for t in missing:
-            path = _path_to_set(topo, t, tree_nodes)
+            path = topo.shortest_path(t, tree_nodes)
             if best_path is None or (len(path), path) < (len(best_path), best_path):
                 best_path = path
         for a, b in zip(best_path, best_path[1:]):
@@ -206,27 +205,6 @@ def _steiner_tree(topo: Topology, terminals: frozenset[int]) -> dict[int, list[i
             tree_nodes.add(a)
             tree_nodes.add(b)
     return {node: sorted(nbrs) for node, nbrs in adj.items()}
-
-
-def _path_to_set(topo: Topology, start: int, targets: set[int]) -> list[int]:
-    """Shortest path from ``start`` to any node of ``targets`` (BFS, sorted ties)."""
-    if start in targets:
-        return [start]
-    parent = {start: start}
-    frontier = deque([start])
-    while frontier:
-        cur = frontier.popleft()
-        for nb in topo.neighbors(cur):
-            if nb in parent:
-                continue
-            parent[nb] = cur
-            if nb in targets:
-                path = [nb]
-                while path[-1] != start:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            frontier.append(nb)
-    raise DomainError("topology is disconnected")
 
 
 def _collect_gates(

@@ -26,7 +26,7 @@ import numpy as np
 from tanglewalk.circuits import Gate
 from tanglewalk.errors import DomainError, SizeCapError
 from tanglewalk.ising import diagonal
-from tanglewalk.qaoa import STATEVECTOR_QUBIT_CAP, _mixer_matrix
+from tanglewalk.qaoa import _mixer_matrix
 from tanglewalk.transpile import _RotationPlan
 
 try:
@@ -598,7 +598,7 @@ def old_simulate(
     h,
     prior,
     schedule,
-    qubit_cap: int = STATEVECTOR_QUBIT_CAP,
+    qubit_cap: int = 26,
     energies: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact output distribution of one warm-started LR-QAOA circuit.
@@ -615,7 +615,7 @@ def old_simulate(
     if not np.all((prior >= 0) & (prior <= 1)):
         raise DomainError("prior probabilities must lie in [0, 1]")
     if energies is None:
-        energies = diagonal(h, qubit_cap)
+        energies = diagonal(h)
 
     phi = 2 * np.arcsin(np.sqrt(prior))
     state = np.ones(1, dtype=complex)

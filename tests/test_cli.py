@@ -153,6 +153,14 @@ class TestSolve:
         assert lines[0] == "iteration,energy,frequency"
         assert len(lines) > 1
 
+    def test_over_memory_budget_exits_four(self, tmp_path, capsys):
+        graph = tmp_path / "wide.json"
+        main(["generate", "--seed", "1", "--nodes", "4", "--max-weight", "3", "-o", str(graph)])
+        out = tmp_path / "run.json"
+        assert main(["solve", str(graph), "--kind", "qubo", "-o", str(out)]) == 4
+        assert "over the memory budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_polynomial_without_meta_is_config_error(self, tmp_path, tangle2_file):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n_vars": 2, "terms": []}))

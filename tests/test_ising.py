@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,9 @@ from hypothesis import strategies as st
 
 from tanglewalk import (
     BinaryPolynomial,
+    DomainError,
     IsingPolynomial,
+    RunConfig,
     SizeCapError,
     diagonal,
     encode_hubo,
@@ -13,8 +18,14 @@ from tanglewalk import (
     default_walk_length,
     generate_tangle,
     ising_energy,
+    iterative_qaoa,
+    lr_schedule,
+    simulate,
+    sweep,
     to_ising,
 )
+from tanglewalk.circuits import _parity_table
+from tanglewalk.ising import MEMORY_BUDGET, _check_memory
 
 from helpers import all_assignments, dense_cost_matrix, parity_energies
 
@@ -39,6 +50,17 @@ def test_pair_substitution():
     h = to_ising(BinaryPolynomial(2, {(0, 1): 1}))
     assert h.constant == 0.25
     assert h.terms == {(0,): -0.25, (1,): -0.25, (0, 1): 0.25}
+
+
+def test_repeated_qubits_square_to_one():
+    # Z_q * Z_q = 1: pairs of a repeated qubit cancel, an odd count leaves Z_q.
+    assert IsingPolynomial(3, {(0, 1, 0): 1.0}).terms == {(1,): 1.0}
+    assert IsingPolynomial(3, {(2, 2, 2, 0): 2.0}).terms == {(0, 2): 2.0}
+    h = IsingPolynomial(2, {(0, 0): 1.0})
+    assert h.terms == {} and h.constant == 1.0
+    assert diagonal(h).tolist() == [1, 1, 1, 1]
+    with pytest.raises(DomainError):
+        IsingPolynomial(2, {(5, 5): 1.0})
 
 
 def test_hubo_equivalence_is_exact(tangle2):
@@ -117,8 +139,10 @@ class TestDiagonal:
         assert diagonal(IsingPolynomial(0, constant=2.5)).tolist() == [2.5]
 
     def test_cap(self):
-        with pytest.raises(SizeCapError):
-            diagonal(IsingPolynomial(5, {(0,): 1}), qubit_cap=4)
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError, match=r"needs about \d+ bytes, over the memory budget of \d+"):
+            diagonal(IsingPolynomial(40, {(0,): 1}))
+        assert time.perf_counter() - start < 1
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -143,3 +167,56 @@ class TestDiagonal:
         T = default_walk_length(g)
         h = to_ising(encode_qubo(g, T) if kind == "qubo" else encode_hubo(g, T))
         assert np.array_equal(diagonal(h), parity_energies(h))
+
+
+def peak_bytes(call) -> int:
+    """tracemalloc peak of one call, counting only what the call allocates."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def memory_instance(n, energies):
+    """Degree-1-3 Z terms: dyadic ones give a few hundred distinct energies,
+    Gaussian ones make every energy distinct (the widest level index)."""
+    rng = np.random.default_rng(n)
+    h = IsingPolynomial(n, constant=1.0)
+    for _ in range(3 * n):
+        qubits = rng.choice(n, int(rng.integers(1, 4)), replace=False).tolist()
+        coeff = rng.integers(-8, 9) / 4 if energies == "dyadic" else rng.normal()
+        h.add_term(qubits, float(coeff))
+    return h
+
+
+class TestMemoryRule:
+    @pytest.mark.parametrize("energies", ["dyadic", "distinct"])
+    @pytest.mark.parametrize("n", [14, 16, 18])
+    def test_estimate_covers_measured_peak(self, n, energies):
+        h = memory_instance(n, energies)
+        prior = np.full(n, 0.3)
+        masks = {sum(1 << q for q in qubits): c for qubits, c in h.terms.items()}
+        config = RunConfig(p=2, dbeta=0.5, dgamma=0.5, shots=100, iterations=2)
+        calls = {
+            "diagonal": [lambda: diagonal(h)],
+            "parity table": [lambda: _parity_table(masks)],
+            "simulate": [
+                lambda: simulate(h, prior, lr_schedule(2, 0.5, 0.5)),
+                lambda: iterative_qaoa(h, "hubo", config, prior=prior),
+            ],
+            "sweep": [lambda: sweep(h, prior, [(0.5, 0.5), (0.4, 0.2)], [1, 2])],
+        }
+        for path, path_calls in calls.items():
+            for call in path_calls:
+                assert peak_bytes(call) <= _check_memory(path, n), path
+
+    def test_widest_admitted_widths(self):
+        # The widths the README quotes for the 4 GiB budget.
+        assert MEMORY_BUDGET == 4 << 30
+        widest = {"diagonal": 28, "parity table": 28, "simulate": 25, "sweep": 25}
+        for path, n in widest.items():
+            _check_memory(path, n)
+            with pytest.raises(SizeCapError, match=path):
+                _check_memory(path, n + 1)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,8 +30,17 @@ from tanglewalk import (
     to_ising,
     update_prior,
 )
+from tanglewalk import qaoa
 
 from helpers import dense_qaoa_distribution, old_simulate
+
+
+def over_budget(call):
+    """``call`` raises SizeCapError at once, naming its estimate and the budget."""
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match=r"needs about \d+ bytes, over the memory budget of \d+"):
+        call()
+    assert time.perf_counter() - start < 1
 
 
 def make_batch(indices, counts, energies, n=2, shots=None):
@@ -139,9 +149,15 @@ class TestSimulate:
             sigma = math.sqrt(shots * prior[q] * (1 - prior[q]))
             assert abs(freq - shots * prior[q]) < 5 * sigma
 
-    def test_qubit_cap(self):
-        with pytest.raises(SizeCapError):
-            simulate(IsingPolynomial(8), np.full(8, 0.5), lr_schedule(1, 1, 1), qubit_cap=6)
+    def test_memory_cap(self):
+        over_budget(lambda: simulate(IsingPolynomial(40), np.full(40, 0.5), lr_schedule(1, 1, 1)))
+        config = RunConfig(p=1, dbeta=1, dgamma=1, shots=10)
+        over_budget(lambda: iterative_qaoa(IsingPolynomial(40), "hubo", config, prior=np.full(40, 0.5)))
+
+    @pytest.mark.parametrize("length", [4, 16])
+    def test_energies_length_checked(self, length):
+        with pytest.raises(DomainError):
+            simulate(IsingPolynomial(3), np.full(3, 0.5), lr_schedule(1, 1, 1), np.zeros(length))
 
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
     def test_prior_outside_unit_interval_rejected(self, bad):
@@ -240,6 +256,11 @@ class TestSample:
     def test_invalid_probabilities_rejected(self, bad):
         with pytest.raises(DomainError):
             sample(np.array([0.5, 0.75, bad, 0.0]), 10, 0, np.zeros(4))
+
+    @pytest.mark.parametrize("length", [3, 16])
+    def test_energies_length_checked(self, length):
+        with pytest.raises(DomainError):
+            sample(np.full(8, 0.125), 100, 0, np.zeros(length))
 
     @pytest.mark.parametrize("probs", [np.zeros(4), np.zeros(0)], ids=["all-zero", "empty"])
     @pytest.mark.parametrize("shots", [0, 10])
@@ -390,7 +411,7 @@ class TestIterativeQaoa:
         h = to_ising(encode_hubo(tangle2, 2))
         config = RunConfig(
             p=1, dbeta=0.75, dgamma=0.30, shots=50, iterations=1, seed=2,
-            target_energy=0.0, shift_energies=True, qubit_cap=12,
+            alpha=0.5, epsilon=0.1, target_energy=0.0,
         )
         record = iterative_qaoa(h, "hubo", config, layout=HuboLayout.for_graph(tangle2, 2))
         assert RunConfig(**record.to_dict()["config"]) == record.config
@@ -529,12 +550,22 @@ class TestSweepLightCone:
         assert sweep(h, prior, [(0.6, 0.5)], [2]) == [(2, 0.6, 0.5, p_opt(probs, optima))]
 
     def test_checks_match_simulate(self):
+        over_budget(lambda: sweep(IsingPolynomial(40), np.full(40, 0.5), [(0.5, 0.5)], [1]))
         h = IsingPolynomial(8)
-        with pytest.raises(SizeCapError):
-            sweep(h, np.full(8, 0.5), [(0.5, 0.5)], [1], qubit_cap=6)
         with pytest.raises(DomainError):
             sweep(h, np.full(7, 0.5), [(0.5, 0.5)], [1])
         with pytest.raises(DomainError):
             sweep(h, np.full(8, 1.5), [(0.5, 0.5)], [1])
+        with pytest.raises(DomainError):
+            sweep(h, np.full(8, 0.5), [(0.5, float("nan"))], [1])
+
+    def test_checks_come_before_the_diagonal(self, monkeypatch):
+        def no_diagonal(h):
+            raise AssertionError("diagonal built before the inputs were checked")
+
+        monkeypatch.setattr(qaoa, "diagonal", no_diagonal)
+        h = IsingPolynomial(8)
+        with pytest.raises(DomainError):
+            sweep(h, np.full(7, 0.5), [(0.5, 0.5)], [1])
         with pytest.raises(DomainError):
             sweep(h, np.full(8, 0.5), [(0.5, float("nan"))], [1])

@@ -41,6 +41,8 @@ class TestBuildTopology:
 
     def test_shortest_path(self):
         topo = build_topology("grid", (2, 3))
-        path = topo.shortest_path(0, 5)
+        path = topo.shortest_path(0, {5})
         assert path[0] == 0 and path[-1] == 5
         assert all(topo.coupled(a, b) for a, b in zip(path, path[1:]))
+        assert topo.shortest_path(0, {2, 4}) == [0, 1, 2]
+        assert topo.shortest_path(3, {3, 5}) == [3]

@@ -126,10 +126,10 @@ def _parity_replay(gates, forms: list[int]) -> list[tuple[int, float]]:
     return phases
 
 
-def _parity_table(coeffs: dict[int, float]) -> tuple[list[int], np.ndarray]:
+def _parity_table(coeffs: dict[int, float]) -> np.ndarray:
     """sum over masks S of coeffs[S] * (-1)^|S & x|, tabulated over the masks' support.
 
-    Returns the support (the bits set in any mask, ascending) and a table of
+    The support is the bits set in any mask, ascending.  The table holds
     2^len(support) sums: entry y holds the sum for every x whose support
     bits, packed in that order, read y.  Bits outside the support do not
     change the sum, so one Walsh-Hadamard transform of 2^|support| entries
@@ -143,7 +143,7 @@ def _parity_table(coeffs: dict[int, float]) -> tuple[list[int], np.ndarray]:
     table = np.zeros(1 << len(support))
     for mask, coeff in coeffs.items():
         table[sum(1 << i for i, q in enumerate(support) if (mask >> q) & 1)] += coeff
-    return support, _walsh_hadamard(table)
+    return _walsh_hadamard(table)
 
 
 def metrics(circ) -> dict:
@@ -209,8 +209,13 @@ def _is_global_phase(angles_a: dict[int, float], angles_b: dict[int, float], tol
             residues[mask] = diff
     if sum(abs(r) for r in residues.values()) <= tol / 2:
         return True
-    _, table = _parity_table(residues)
-    return bool(np.max(np.abs(1 - np.exp(-1j * (table - table[0])))) <= tol)
+    # |1 - e^{-i delta}| = 2 |sin(delta / 2)|, computed in the table itself
+    # so the check peaks where the transform does
+    table = _parity_table(residues)
+    table -= table[0]
+    table *= 0.5
+    np.sin(table, out=table)
+    return bool(2 * np.abs(table, out=table).max() <= tol)
 
 
 def verify_equivalence(a, b, tol: float = 1e-8) -> bool:

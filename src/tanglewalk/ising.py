@@ -29,13 +29,16 @@ from .errors import DomainError, SizeCapError
 from .polynomials import BinaryPolynomial, Monomial
 
 MEMORY_BUDGET = 4 << 30  # bytes any one dense path may peak at
-# Peak bytes of each dense path, 1 MiB (NumPy's iterator buffers) plus a
-# worst case per basis state, bounding tracemalloc peaks at 14-18 qubits.
-# A diagonal is the float64 vector and a half-length temporary.  When every
-# energy differs, sweep holds 8 + 4 bytes of levels and index, a 16-byte
-# state, 24 of half-length buffers, a 16-byte phase table and 4 of index
-# copy; simulate adds the diagonal its caller holds.
-_PEAK_BYTES_PER_STATE = {"diagonal": 12, "parity table": 12, "simulate": 80, "sweep": 72}
+# Peak bytes of each dense path: 1 MiB (NumPy's iterator buffers), a worst
+# case per basis state, and for simulate and sweep 24 per distinct energy
+# (its float64 level and complex phase).  They bound tracemalloc peaks at
+# 14-21 qubits.  A diagonal or parity table is the float64 vector and a
+# half-length temporary.  Simulate holds the diagonal its caller keeps, a
+# level index of up to 4 bytes, a 16-byte state, 24 of half-length buffers
+# and at the end 8 of |amplitude|^2.  Sweep keeps no diagonal beside its
+# state; tabulating its levels (np.unique's sort and inverse) peaks near 49.
+_PEAK_BYTES_PER_STATE = {"diagonal": 12, "parity table": 12, "simulate": 60, "sweep": 52}
+_PEAK_BYTES_PER_LEVEL = 24
 
 
 class IsingPolynomial:
@@ -137,12 +140,15 @@ def _walsh_hadamard(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _check_memory(path: str, num_qubits: int) -> int:
+def _check_memory(path: str, num_qubits: int, levels: int = 0) -> int:
     """Peak-byte estimate of ``path`` over 2^num_qubits states; SizeCapError if over budget.
 
     Each path calls it before allocating, so an oversized run fails at once.
+    ``levels`` counts the distinct energies of simulate and sweep; before
+    they are tabulated, 0 gives a lower bound that covers tabulating them.
     """
     estimate = (1 << 20) + (_PEAK_BYTES_PER_STATE[path] << num_qubits)
+    estimate += _PEAK_BYTES_PER_LEVEL * levels
     if estimate > MEMORY_BUDGET:
         raise SizeCapError(
             f"{path} over {num_qubits} qubits needs about {estimate} bytes,"

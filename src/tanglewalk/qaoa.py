@@ -178,28 +178,28 @@ def simulate(
     h: IsingPolynomial,
     prior: Sequence[float],
     schedule: QaoaSchedule,
-    energies: np.ndarray | None = None,
+    levels: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Exact output distribution of one warm-started LR-QAOA circuit.
 
-    Returns |amplitude|^2 over all 2^n basis states.  ``energies`` may be
-    passed to reuse a precomputed cost diagonal of 2^n entries.
+    Returns |amplitude|^2 over all 2^n basis states.  ``levels`` may be
+    passed to reuse ``_levels(diagonal(h))`` across calls.
     """
     n = h.num_qubits
     _check_memory("simulate", n)
     prior = _checked_prior(h, prior)
-    if energies is None:
-        energies = diagonal(h)
-    elif np.shape(energies) != (1 << n,):
-        raise DomainError(f"energies must have {1 << n} entries, got shape {np.shape(energies)}")
-    levels, level = _levels(energies)
-    del energies  # the phase comes from the levels from here on
+    if levels is None:
+        levels = _levels(diagonal(h))
+    values, index = levels
+    if index.shape != (1 << n,) or index.dtype.kind != "u" or index.max() >= len(values):
+        raise DomainError(f"levels must map {1 << n} states to one of its {len(values)} energies")
+    _check_memory("simulate", n, len(values))
 
     phi = 2 * np.arcsin(np.sqrt(prior))
     state = _product_state(phi)
     block = _scratch(n)
     for beta, gamma in zip(schedule.betas, schedule.gammas):
-        _table_phase(state, gamma, levels, level, block)
+        _table_phase(state, gamma, values, index, block)
         for q in range(n):
             _mix(state, _mixer_matrix(beta, phi[q]), q, block)
     return np.abs(state) ** 2
@@ -455,12 +455,13 @@ def iterative_qaoa(
     prior = _checked_prior(h, prior)
     schedule = lr_schedule(config.p, config.dbeta, config.dgamma)
     energies = diagonal(h)
+    levels = _levels(energies)  # one phase table for every iteration
     seeds = np.random.SeedSequence(config.seed).spawn(config.iterations)
 
     record = RunRecord(kind=kind, config=config)
     termination = "max_iterations"
     for j in range(1, config.iterations + 1):
-        probs = simulate(h, prior, schedule, energies=energies)
+        probs = simulate(h, prior, schedule, levels)
         batch = sample(probs, config.shots, seeds[j - 1], energies, iteration=j)
         del probs  # the next simulate need not run beside it
         kept = cvar_filter(batch, config.alpha)
@@ -530,6 +531,7 @@ def sweep(
     order = [position[i] for i in set(optimal)]  # p_opt's summation order
     levels, level = _levels(energies)
     del energies  # the phase comes from the levels from here on
+    _check_memory("sweep", h.num_qubits, len(levels))
     phi = 2 * np.arcsin(np.sqrt(prior))
     block = _scratch(h.num_qubits)
     rows = []

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +12,7 @@ from tanglewalk import (
     DomainError,
     Gate,
     HuboLayout,
+    SizeCapError,
     build_topology,
     compile_naive,
     compile_parity,
@@ -233,6 +236,14 @@ class TestSymbolicVerifier:
         assert both_verifiers(triple, CircuitIR(2)) == (True, True)
         triple.gates[2] = Gate("RZZ", (0, 1), -np.pi + 1e-3)
         assert both_verifiers(triple, CircuitIR(2)) == (False, False)
+
+    def test_residue_support_over_budget(self):
+        # 2^29 relative phases would not fit the memory budget: refused at once.
+        wide = CircuitIR(29, [Gate("MULTIRZ", tuple(range(29)), 1.0)])
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError, match="parity table over 29 qubits"):
+            verify_equivalence(wide, CircuitIR(29))
+        assert time.perf_counter() - start < 1
 
     def test_quarter_turn_is_not_global_phase(self):
         # RZ(pi) shifts |0> and |1> by -pi/2 and +pi/2: a relative phase of pi.

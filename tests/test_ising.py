@@ -24,7 +24,7 @@ from tanglewalk import (
     sweep,
     to_ising,
 )
-from tanglewalk.circuits import _parity_table
+from tanglewalk.circuits import _is_global_phase
 from tanglewalk.ising import MEMORY_BUDGET, _check_memory
 
 from helpers import all_assignments, dense_cost_matrix, parity_energies
@@ -193,15 +193,17 @@ def memory_instance(n, energies):
 
 class TestMemoryRule:
     @pytest.mark.parametrize("energies", ["dyadic", "distinct"])
-    @pytest.mark.parametrize("n", [14, 16, 18])
+    @pytest.mark.parametrize("n", [14, 16, 18, 20])
     def test_estimate_covers_measured_peak(self, n, energies):
         h = memory_instance(n, energies)
         prior = np.full(n, 0.3)
+        levels = len(np.unique(diagonal(h)))
         masks = {sum(1 << q for q in qubits): c for qubits, c in h.terms.items()}
         config = RunConfig(p=2, dbeta=0.5, dgamma=0.5, shots=100, iterations=2)
         calls = {
             "diagonal": [lambda: diagonal(h)],
-            "parity table": [lambda: _parity_table(masks)],
+            # a non-equivalent pair: the verifier tabulates every relative phase
+            "parity table": [lambda: _is_global_phase(masks, {}, 1e-8)],
             "simulate": [
                 lambda: simulate(h, prior, lr_schedule(2, 0.5, 0.5)),
                 lambda: iterative_qaoa(h, "hubo", config, prior=prior),
@@ -209,14 +211,20 @@ class TestMemoryRule:
             "sweep": [lambda: sweep(h, prior, [(0.5, 0.5), (0.4, 0.2)], [1, 2])],
         }
         for path, path_calls in calls.items():
+            estimate = _check_memory(path, n, levels if path in ("simulate", "sweep") else 0)
             for call in path_calls:
-                assert peak_bytes(call) <= _check_memory(path, n), path
+                assert peak_bytes(call) <= estimate, path
 
     def test_widest_admitted_widths(self):
         # The widths the README quotes for the 4 GiB budget.
         assert MEMORY_BUDGET == 4 << 30
-        widest = {"diagonal": 28, "parity table": 28, "simulate": 25, "sweep": 25}
+        widest = {"diagonal": 28, "parity table": 28, "simulate": 26, "sweep": 26}
         for path, n in widest.items():
             _check_memory(path, n)
             with pytest.raises(SizeCapError, match=path):
                 _check_memory(path, n + 1)
+        # With every energy distinct, the QAOA paths admit one qubit less.
+        for path in ("simulate", "sweep"):
+            _check_memory(path, 25, 1 << 25)
+            with pytest.raises(SizeCapError, match=path):
+                _check_memory(path, 26, 1 << 26)

@@ -154,10 +154,21 @@ class TestSimulate:
         config = RunConfig(p=1, dbeta=1, dgamma=1, shots=10)
         over_budget(lambda: iterative_qaoa(IsingPolynomial(40), "hubo", config, prior=np.full(40, 0.5)))
 
-    @pytest.mark.parametrize("length", [4, 16])
-    def test_energies_length_checked(self, length):
+    def test_reused_levels_give_the_same_distribution(self):
+        h = random_ising(6, 0, True)
+        prior, schedule = np.full(6, 0.3), lr_schedule(2, 0.7, 0.4)
+        levels = qaoa._levels(diagonal(h))
+        assert np.array_equal(simulate(h, prior, schedule, levels), simulate(h, prior, schedule))
+
+    @pytest.mark.parametrize(
+        "index",
+        [np.zeros(4, np.uint8), np.zeros(16, np.uint8), np.ones(8, np.uint8), np.zeros(8, np.int64)],
+        ids=["short", "long", "past the table", "signed"],
+    )
+    def test_levels_checked(self, index):
+        levels = (np.zeros(1), index)
         with pytest.raises(DomainError):
-            simulate(IsingPolynomial(3), np.full(3, 0.5), lr_schedule(1, 1, 1), np.zeros(length))
+            simulate(IsingPolynomial(3), np.full(3, 0.5), lr_schedule(1, 1, 1), levels)
 
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
     def test_prior_outside_unit_interval_rejected(self, bad):

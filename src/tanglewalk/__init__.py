@@ -35,7 +35,7 @@ from .graphs import (
     is_valid_walk,
     walk_cost,
 )
-from .ising import IsingPolynomial, diagonal, ising_energy, to_ising
+from .ising import IsingPolynomial, diagonal, to_ising
 from .maxsat import export_wcnf
 from .noise import p_good, required_shots
 from .polynomials import BinaryPolynomial
@@ -49,7 +49,6 @@ from .qaoa import (
     initial_prior,
     iterative_qaoa,
     lr_schedule,
-    p_opt,
     sample,
     simulate,
     sweep,

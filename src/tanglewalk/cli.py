@@ -14,7 +14,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,13 +46,16 @@ EXIT_SIZE = 4
 DEFAULT_SCHEDULES = {"qubo": (0.63, 0.16), "hubo": (0.75, 0.30)}
 
 
-def _write_json(data, path: str | None):
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+def _write(text: str, path: str | None):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _write_json(data, path: str | None):
+    _write(json.dumps(data, indent=2, sort_keys=True) + "\n", path)
 
 
 def _load_json(path: str) -> dict:
@@ -72,6 +76,15 @@ def _workers(tasks: int) -> int:
     except ValueError as exc:
         raise ConfigError(f"TANGLEWALK_WORKERS must be an integer, got {raw!r}") from exc
     return max(1, min(requested, os.cpu_count() or 1, tasks))
+
+
+def _pool_map(fn, tasks: list) -> list:
+    """``fn`` over ``tasks`` in order, on ``_workers(len(tasks))`` processes."""
+    workers = _workers(len(tasks))
+    if workers == 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +249,9 @@ def _parse_grid_axis(spec: str, flag: str) -> list[float]:
 
 
 def _sweep_chunk(payload):
-    poly_dict, meta, grid, ps = payload
-    poly = BinaryPolynomial.from_dict(poly_dict)
-    h = to_ising(poly)
+    poly, meta, grid, ps = payload
     prior = initial_prior(meta["kind"], _layout_from_meta(meta))
-    return sweep(h, prior, grid, ps)
+    return sweep(to_ising(poly), prior, grid, ps)
 
 
 def cmd_sweep(args) -> int:
@@ -253,24 +264,12 @@ def cmd_sweep(args) -> int:
         for c in _parse_grid_axis(args.dgammas, "--dgammas")
     ]
     workers = _workers(len(grid))
-    if workers == 1 or len(grid) < 2 * workers:
-        rows = _sweep_chunk((poly.to_dict(), meta, grid, ps))
-    else:
-        chunks = [grid[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _sweep_chunk, [(poly.to_dict(), meta, chunk, ps) for chunk in chunks]
-            )
-        rows = sorted(row for part in parts for row in part)
+    chunks = [(poly, meta, grid[i::workers], ps) for i in range(workers)]
+    rows = sorted(row for part in _pool_map(_sweep_chunk, chunks) for row in part)
     lines = ["p,dbeta,dgamma,p_opt"]
     for p, dbeta, dgamma, popt in rows:
         lines.append(f"{p},{dbeta!r},{dgamma!r},{popt!r}")
-    text = "\n".join(lines) + "\n"
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -342,17 +341,23 @@ def cmd_noise(args) -> int:
 # Pipeline
 
 
-_INT_KEYS = ("seed", "nodes", "max_weight", "length", "p", "shots", "iters")
-_REAL_KEYS = (
-    "density", "dbeta", "dgamma", "alpha", "target",
-    "one_hot_penalty", "edge_penalty", "hubo_penalty",
-)
-_OPTIONAL_KEYS = ("graph", "length", "dbeta", "dgamma", "target", "output")
+def _has_type(value, hint) -> bool:
+    """Whether ``value`` is of the annotated type ``hint``; an int passes as a float."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:  # tuple[int, ...]
+        return type(value) is tuple and all(_has_type(v, args[0]) for v in value)
+    if args:  # X | None
+        return any(_has_type(value, arg) for arg in args)
+    return type(value) is hint or (hint is float and type(value) is int)
 
 
 @dataclass
 class ExperimentConfig:
-    """Round-trippable settings for an end-to-end run."""
+    """Settings of an end-to-end run.
+
+    The fields are the ``pipeline`` flags and config-file keys: their
+    names, types and defaults are declared here and nowhere else.
+    """
 
     seed: int = 1
     nodes: int = 2
@@ -401,8 +406,6 @@ class ExperimentConfig:
                     raise ConfigError(f"{path}:{lineno}: seeds must be integers, got {value!r}")
             elif value.startswith('"') and value.endswith('"'):
                 values[key] = value[1:-1]
-            elif value in ("true", "false"):
-                values[key] = value == "true"
             elif value == "none":
                 values[key] = None
             else:
@@ -420,18 +423,9 @@ class ExperimentConfig:
         return cls(**values)
 
     def validate(self):
-        for key, value in vars(self).items():
-            if value is None and key in _OPTIONAL_KEYS:
-                continue
-            if key in _INT_KEYS:
-                ok = type(value) is int
-            elif key in _REAL_KEYS:
-                ok = type(value) in (int, float)
-            elif key == "seeds":
-                ok = isinstance(value, tuple) and all(type(s) is int for s in value)
-            else:  # graph, kind, output
-                ok = isinstance(value, str)
-            if not ok:
+        for key, hint in get_type_hints(type(self)).items():
+            value = getattr(self, key)
+            if not _has_type(value, hint):
                 raise ConfigError(f"config key {key} has a value of the wrong type: {value!r}")
         if self.kind not in ("qubo", "hubo"):
             raise ConfigError(f"kind must be qubo or hubo, got {self.kind!r}")
@@ -459,32 +453,11 @@ def cmd_pipeline(args) -> int:
     if args.config:
         cfg = ExperimentConfig.from_file(args.config)
     else:
-        cfg = ExperimentConfig(
-            seed=args.seed,
-            nodes=args.nodes,
-            max_weight=args.max_weight,
-            density=args.density,
-            graph=args.graph,
-            kind=args.kind,
-            length=args.length,
-            p=args.p,
-            dbeta=args.dbeta,
-            dgamma=args.dgamma,
-            shots=args.shots,
-            alpha=args.alpha,
-            iters=args.iters,
-            seeds=_parse_int_list(args.seeds, "--seeds"),
-            target=args.target,
-            output=args.output,
-        )
+        values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+        values["seeds"] = _parse_int_list(args.seeds, "--seeds")
+        cfg = ExperimentConfig(**values)
     cfg.validate()
-    payloads = [(cfg, run_seed) for run_seed in cfg.seeds]
-    workers = _workers(len(payloads))
-    if workers == 1 or len(payloads) == 1:
-        results = [_pipeline_one(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pipeline_one, payloads))
+    results = _pool_map(_pipeline_one, [(cfg, run_seed) for run_seed in cfg.seeds])
 
     runs = []
     print(f"{'seed':>6} {'best_E':>8} {'oracle':>8} {'found_at':>9} {'walk_cost':>10}")
@@ -500,7 +473,6 @@ def cmd_pipeline(args) -> int:
         )
     if cfg.output:
         saved_cfg = {k: v for k, v in vars(cfg).items() if k != "output"}
-        saved_cfg["seeds"] = list(cfg.seeds)
         _write_json({"config": saved_cfg, "runs": runs}, cfg.output)
     return EXIT_OK
 
@@ -604,9 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_flags(sub)
     _add_encode_flags(sub)
     _add_run_flags(sub)
-    sub.add_argument("--seeds", default="0", help="comma-separated run seeds")
-    sub.add_argument("-o", "--output", default=None)
-    sub.set_defaults(func=cmd_pipeline)
+    sub.add_argument("--seeds", help="comma-separated run seeds")
+    sub.add_argument("-o", "--output")
+    defaults = vars(ExperimentConfig())
+    defaults["seeds"] = ",".join(map(str, defaults["seeds"]))
+    sub.set_defaults(**defaults, func=cmd_pipeline)
     return parser
 
 

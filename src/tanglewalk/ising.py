@@ -21,7 +21,6 @@ n * eps * (|constant| + sum |coeff|).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -104,19 +103,6 @@ def to_ising(p: BinaryPolynomial) -> IsingPolynomial:
             for subset in combinations(mono, r):
                 h.add_term(subset, sign * base)
     return h
-
-
-def ising_energy(h: IsingPolynomial, x: Sequence[int]) -> float:
-    """Energy of a computational-basis state given as a bit vector."""
-    if len(x) != h.num_qubits:
-        raise DomainError(f"expected {h.num_qubits} bits, got {len(x)}")
-    total = h.constant
-    for qubits, coeff in h.terms.items():
-        z = 1
-        for q in qubits:
-            z *= 1 - 2 * x[q]
-        total += coeff * z
-    return total
 
 
 def _walsh_hadamard(coeffs: np.ndarray) -> np.ndarray:

@@ -14,13 +14,13 @@ cost phase is gathered from one exponential per distinct energy, and each
 mixer pass updates the state in place through three half-length buffers.
 ``sweep`` needs only the probability of the optimal states, so it runs
 the last mixer as a light cone that computes only the optimal amplitudes;
-its values equal ``p_opt(simulate(...))`` bit for bit.
+its values equal ``p_opt(simulate(...))`` (``tests/helpers.py``) bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -386,38 +386,7 @@ class RunRecord:
     decoded_walk: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": {
-                "p": self.config.p,
-                "dbeta": self.config.dbeta,
-                "dgamma": self.config.dgamma,
-                "shots": self.config.shots,
-                "alpha": self.config.alpha,
-                "iterations": self.config.iterations,
-                "seed": self.config.seed,
-                "epsilon": self.config.epsilon,
-                "target_energy": self.config.target_energy,
-            },
-            "iterations": [
-                {
-                    "iteration": rec.iteration,
-                    "feedback_beta": rec.feedback_beta,
-                    "prior": list(rec.prior),
-                    "histogram": [[e, c] for e, c in rec.histogram],
-                    "best_energy": rec.best_energy,
-                    "best_index": rec.best_index,
-                    "kept_shots": rec.kept_shots,
-                }
-                for rec in self.iterations
-            ],
-            "best_energy": self.best_energy,
-            "best_index": self.best_index,
-            "best_bits": list(self.best_bits),
-            "optimum_iteration": self.optimum_iteration,
-            "termination": self.termination,
-            "decoded_walk": self.decoded_walk,
-        }
+        return asdict(self)
 
 
 def _histogram(batch: SampleBatch) -> tuple[tuple[float, int], ...]:
@@ -498,12 +467,6 @@ def iterative_qaoa(
     return record
 
 
-def p_opt(probs: np.ndarray, optimal_indices: Iterable[int]) -> float:
-    """Probability mass the distribution assigns to the optimal set."""
-    probs = np.asarray(probs, dtype=float)
-    return float(sum(probs[int(i)] for i in set(optimal_indices)))
-
-
 def sweep(
     h: IsingPolynomial,
     prior: np.ndarray,
@@ -514,8 +477,9 @@ def sweep(
 
     The optimal set is the argmin of the cost diagonal.  Rows come back
     sorted by (p, dbeta, dgamma) regardless of input order.  Each value
-    equals ``p_opt(simulate(...), optimal)`` exactly, but the last mixer
-    computes only the optimal amplitudes (``_light_cone``).
+    equals ``p_opt(simulate(...), optimal)`` of ``tests/helpers.py``
+    exactly, but the last mixer computes only the optimal amplitudes
+    (``_light_cone``).
     """
     _check_memory("sweep", h.num_qubits)
     prior = _checked_prior(h, prior)
@@ -528,7 +492,7 @@ def sweep(
     optimal = set(np.flatnonzero(energies == energies.min()).tolist())
     targets = sorted(optimal)
     position = {t: j for j, t in enumerate(targets)}
-    order = [position[i] for i in set(optimal)]  # p_opt's summation order
+    order = [position[i] for i in set(optimal)]  # tests/helpers.py p_opt's summation order
     levels, level = _levels(energies)
     del energies  # the phase comes from the levels from here on
     _check_memory("sweep", h.num_qubits, len(levels))

@@ -13,7 +13,10 @@ ordering and candidate-ranking parity planner, kept as the reference the
 fast paths must match; they share only the ``Gate`` and ``_RotationPlan``
 records with the package.  The simulator oracle at the very end is
 ``simulate`` as it was before its in-place mixer, kept as the reference
-the in-place kernels must match bit for bit.
+the in-place kernels must match bit for bit.  ``p_opt`` sums the optimal
+mass of a distribution in the order ``sweep`` must reproduce, and
+``run_record_to_dict`` is ``RunRecord.to_dict`` as it was written out
+field by field, the reference for the JSON of ``dataclasses.asdict``.
 """
 
 from __future__ import annotations
@@ -51,6 +54,19 @@ def brute_force_energies(poly) -> np.ndarray:
         else:
             values += coeff
     return values
+
+
+def ising_energy(h, x) -> float:
+    """Energy of a computational-basis state given as a bit vector, term by term."""
+    if len(x) != h.num_qubits:
+        raise DomainError(f"expected {h.num_qubits} bits, got {len(x)}")
+    total = h.constant
+    for qubits, coeff in h.terms.items():
+        z = 1
+        for q in qubits:
+            z *= 1 - 2 * x[q]
+        total += coeff * z
+    return total
 
 
 def qubo_terms_direct(g, layout, lam1, lam2, x) -> float:
@@ -263,6 +279,12 @@ def dense_qaoa_distribution(h, prior, betas, gammas) -> np.ndarray:
         ]
         state = kron_chain(locals_2x2) @ state
     return np.abs(state) ** 2
+
+
+def p_opt(probs: np.ndarray, optimal_indices) -> float:
+    """Probability mass the distribution assigns to the optimal set."""
+    probs = np.asarray(probs, dtype=float)
+    return float(sum(probs[int(i)] for i in set(optimal_indices)))
 
 
 def parse_wcnf(text: str):
@@ -628,3 +650,39 @@ def old_simulate(
         for q in range(n):
             old_apply_single_qubit(state, _mixer_matrix(beta, phi[q]), q, n)
     return np.abs(state) ** 2
+
+
+def run_record_to_dict(record) -> dict:
+    """``RunRecord.to_dict`` as it was before it became ``dataclasses.asdict``."""
+    return {
+        "kind": record.kind,
+        "config": {
+            "p": record.config.p,
+            "dbeta": record.config.dbeta,
+            "dgamma": record.config.dgamma,
+            "shots": record.config.shots,
+            "alpha": record.config.alpha,
+            "iterations": record.config.iterations,
+            "seed": record.config.seed,
+            "epsilon": record.config.epsilon,
+            "target_energy": record.config.target_energy,
+        },
+        "iterations": [
+            {
+                "iteration": rec.iteration,
+                "feedback_beta": rec.feedback_beta,
+                "prior": list(rec.prior),
+                "histogram": [[e, c] for e, c in rec.histogram],
+                "best_energy": rec.best_energy,
+                "best_index": rec.best_index,
+                "kept_shots": rec.kept_shots,
+            }
+            for rec in record.iterations
+        ],
+        "best_energy": record.best_energy,
+        "best_index": record.best_index,
+        "best_bits": list(record.best_bits),
+        "optimum_iteration": record.optimum_iteration,
+        "termination": record.termination,
+        "decoded_walk": record.decoded_walk,
+    }

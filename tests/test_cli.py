@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import warnings
@@ -14,7 +16,7 @@ from tanglewalk import (
     to_ising,
     walk_cost,
 )
-from tanglewalk.cli import ExperimentConfig, _workers, main
+from tanglewalk.cli import ExperimentConfig, _workers, build_parser, main
 from tanglewalk.graphs import graph_to_dict
 
 
@@ -364,6 +366,55 @@ class TestPipeline:
         cfg.write_text("bogus = 3\n")
         assert main(["pipeline", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "flags,settings",
+        [
+            pytest.param([], "", id="defaults"),
+            pytest.param(
+                ["--hubo-penalty", "37.0", "--one-hot-penalty", "12.0", "--edge-penalty", "6.0"],
+                "hubo_penalty = 37.0\none_hot_penalty = 12.0\nedge_penalty = 6.0\n",
+                id="penalties-hubo",
+            ),
+            pytest.param(
+                ["--kind", "qubo", "--one-hot-penalty", "12.0", "--edge-penalty", "6.0"],
+                'kind = "qubo"\none_hot_penalty = 12.0\nedge_penalty = 6.0\n',
+                id="penalties-qubo",
+            ),
+        ],
+    )
+    def test_flags_and_config_file_write_identical_json(self, tmp_path, flags, settings):
+        by_flags, by_file = tmp_path / "flags.json", tmp_path / "file.json"
+        cfg = tmp_path / "exp.toml"
+        cfg.write_text(settings + f'output = "{by_file}"\n')
+        assert main(["pipeline", *flags, "-o", str(by_flags)]) == 0
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        assert by_flags.read_bytes() == by_file.read_bytes()
+        saved = read_json(by_flags)["config"]
+        assert saved["target"] == 0.0
+        for flag, value in zip(flags[::2], flags[1::2]):
+            assert str(saved[flag[2:].replace("-", "_")]) == value
+
+    def test_flags_are_the_config_fields(self):
+        # Each pipeline flag must be an ExperimentConfig field and each field
+        # a flag; the parsed namespace cannot show this, as the subparser's
+        # set_defaults puts every field in it.
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        dests = {action.dest for action in subparsers.choices["pipeline"]._actions}
+        assert dests - {"help", "config"} == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
+        serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+        args = ["pipeline", "--seed", "2", "--nodes", "2", "--shots", "200", "--iters", "3",
+                "--seeds", "0,1"]
+        assert main(args + ["-o", str(serial)]) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("TANGLEWALK_WORKERS", "2")
+        assert _workers(2) == 2
+        assert main(args + ["-o", str(pooled)]) == 0
+        assert serial.read_bytes() == pooled.read_bytes()
+
 
 SMALL = ["--seed", "1", "--nodes", "2", "--max-weight", "1"]
 
@@ -390,6 +441,10 @@ SMALL = ["--seed", "1", "--nodes", "2", "--max-weight", "1"]
         pytest.param(
             ["pipeline", "--config", "exp.toml"], {"exp.toml": b"run_seed = 7\n"},
             id="config-run-seed-is-unknown",
+        ),
+        pytest.param(
+            ["pipeline", "--config", "exp.toml"], {"exp.toml": b"shots = true\n"},
+            id="config-boolean",
         ),
         pytest.param(["oracle", "."], {}, id="graph-is-a-directory"),
         pytest.param(["oracle", "bad.json"], {"bad.json": b"{not json"}, id="invalid-json"),

@@ -17,7 +17,6 @@ from tanglewalk import (
     encode_qubo,
     default_walk_length,
     generate_tangle,
-    ising_energy,
     iterative_qaoa,
     lr_schedule,
     simulate,
@@ -27,7 +26,7 @@ from tanglewalk import (
 from tanglewalk.circuits import _is_global_phase
 from tanglewalk.ising import MEMORY_BUDGET, _check_memory
 
-from helpers import all_assignments, dense_cost_matrix, parity_energies
+from helpers import all_assignments, dense_cost_matrix, ising_energy, parity_energies
 
 
 def random_ising(data, coeffs):

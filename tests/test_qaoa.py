@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -23,7 +24,6 @@ from tanglewalk import (
     initial_prior,
     iterative_qaoa,
     lr_schedule,
-    p_opt,
     sample,
     simulate,
     sweep,
@@ -32,7 +32,7 @@ from tanglewalk import (
 )
 from tanglewalk import qaoa
 
-from helpers import dense_qaoa_distribution, old_simulate
+from helpers import dense_qaoa_distribution, old_simulate, p_opt, run_record_to_dict
 
 
 def over_budget(call):
@@ -426,6 +426,24 @@ class TestIterativeQaoa:
         )
         record = iterative_qaoa(h, "hubo", config, layout=HuboLayout.for_graph(tangle2, 2))
         assert RunConfig(**record.to_dict()["config"]) == record.config
+
+    @pytest.mark.parametrize("target", [None, 0.0])
+    @pytest.mark.parametrize("kind", ["qubo", "hubo"])
+    def test_to_dict_matches_field_by_field_json(self, tangle2, kind, target):
+        if kind == "qubo":
+            poly, layout = encode_qubo(tangle2, 2), QuboLayout(2, 2)
+        else:
+            poly, layout = encode_hubo(tangle2, 2), HuboLayout.for_graph(tangle2, 2)
+        config = RunConfig(
+            p=1, dbeta=0.75, dgamma=0.30, shots=300, alpha=0.2, iterations=3, seed=5,
+            target_energy=target,
+        )
+        record = iterative_qaoa(
+            to_ising(poly), kind, config, layout=layout, decoder=lambda bits: {"bits": list(bits)}
+        )
+        assert json.dumps(record.to_dict(), sort_keys=True) == json.dumps(
+            run_record_to_dict(record), sort_keys=True
+        )
 
     def test_full_coverage_reaches_exhaustive_minimum(self, tangle2):
         h = to_ising(encode_hubo(tangle2, 2))

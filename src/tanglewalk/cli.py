@@ -198,6 +198,10 @@ def _run_solve(g: OrientedGraph, poly: BinaryPolynomial, meta: dict, args, run_s
         seed=run_seed,
         target_energy=args.target,
     )
+    try:
+        config.validate()
+    except DomainError as exc:  # a bad run setting is a bad flag or config key
+        raise ConfigError(str(exc)) from exc
     h = to_ising(poly)
     record = iterative_qaoa(
         h, kind, config, layout=layout, decoder=_decoder(kind, layout, g)
@@ -299,14 +303,14 @@ def cmd_compile(args) -> int:
     logical = qaoa_circuit(h, schedule, prior)
     topo = _parse_topology(args.topology)
     if args.wcnf_out:
-        problem = maxsat.export_wcnf(
+        text = maxsat.export_wcnf(
             [tuple(sorted(s)) for s in rotation_supports(logical)],
             topo,
             swap_depth=args.swap_depth,
             max_order=args.max_order,
         )
         with open(args.wcnf_out, "w") as fh:
-            fh.write(problem.text)
+            fh.write(text)
     compiled = (
         compile_parity(logical, topo)
         if args.method == "parity"
@@ -429,10 +433,6 @@ class ExperimentConfig:
                 raise ConfigError(f"config key {key} has a value of the wrong type: {value!r}")
         if self.kind not in ("qubo", "hubo"):
             raise ConfigError(f"kind must be qubo or hubo, got {self.kind!r}")
-        if self.shots < 1 or self.iters < 1 or self.p < 1:
-            raise ConfigError("shots, iters, and p must all be >= 1")
-        if not 0 < self.alpha <= 1:
-            raise ConfigError("alpha must lie in (0, 1]")
         if not self.seeds:
             raise ConfigError("at least one run seed is required")
 

@@ -189,30 +189,29 @@ def generate_tangle(
     if not 0.0 <= edge_density <= 1.0:
         raise DomainError(f"edge_density must lie in [0, 1], got {edge_density}")
 
-    for attempt in range(5):
-        rng = random.Random(seed * 1_000_003 + attempt)
-        counts = [rng.randint(1, max_weight) for _ in range(n_nodes)]
-        nodes = [v for v, c in enumerate(counts) for _ in range(c)]
-        rng.shuffle(nodes)
-        steps = tuple(2 * v + rng.randint(0, 1) for v in nodes)
+    rng = random.Random(seed * 1_000_003)
+    counts = [rng.randint(1, max_weight) for _ in range(n_nodes)]
+    nodes = [v for v, c in enumerate(counts) for _ in range(c)]
+    rng.shuffle(nodes)
+    steps = tuple(2 * v + rng.randint(0, 1) for v in nodes)
 
-        edges = set()
-        for a, b in zip(steps, steps[1:]):
-            edges.add((a, b))
-            edges.add((flip(b), flip(a)))
-        top = 2 * n_nodes
-        for a in range(top):
-            for b in range(top):
-                if rng.random() < edge_density:
-                    edges.add((a, b))
-                    edges.add((flip(b), flip(a)))
+    edges = set()
+    for a, b in zip(steps, steps[1:]):
+        edges.add((a, b))
+        edges.add((flip(b), flip(a)))
+    top = 2 * n_nodes
+    for a in range(top):
+        for b in range(top):
+            if rng.random() < edge_density:
+                edges.add((a, b))
+                edges.add((flip(b), flip(a)))
 
-        g = OrientedGraph(n_nodes, tuple(counts), frozenset(edges))
-        if len(steps) == 1 or is_valid_walk(g, steps):
-            return g
-    raise GenerationError(
-        f"could not generate a feasible tangle for seed={seed}, n_nodes={n_nodes}"
-    )
+    g = OrientedGraph(n_nodes, tuple(counts), frozenset(edges))
+    if len(steps) > 1 and not is_valid_walk(g, steps):
+        raise GenerationError(
+            f"internal: the planted walk is not valid for seed={seed}, n_nodes={n_nodes}"
+        )
+    return g
 
 
 def graph_to_dict(g: OrientedGraph) -> dict:

@@ -95,7 +95,7 @@ def to_ising(p: BinaryPolynomial) -> IsingPolynomial:
     coefficients coeff / 2^d, signed by the subset parity.
     """
     h = IsingPolynomial(p.num_vars)
-    for mono, coeff in p.terms.items():
+    for mono, coeff in sorted(p.terms.items()):
         d = len(mono)
         base = coeff / (2**d) if d else coeff
         for r in range(d + 1):

@@ -64,10 +64,6 @@ class BinaryPolynomial:
         return total
 
     @property
-    def constant(self):
-        return self.terms.get((), 0)
-
-    @property
     def degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
 

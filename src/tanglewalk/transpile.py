@@ -1,6 +1,8 @@
 """Build logical QAOA circuits and compile them to coupling-limited topologies.
 
-Two compile strategies are provided:
+Two compile strategies are provided.  Both take the logical circuits
+``qaoa_circuit`` emits, RY and diagonal gates (RZ, RZZ, MULTIRZ) only; a
+CX or SWAP in the input is a ``DomainError``.
 
 * ``compile_naive``: every multi-qubit Z rotation becomes a CX ladder,
   a rotation, and the inverse ladder; non-adjacent operands are routed
@@ -12,7 +14,8 @@ Two compile strategies are provided:
   stays diagonal.  Rotations are ordered to maximise shared network
   prefixes, which a commutation-aware peephole pass then cancels between
   consecutive rotations.  No SWAPs are inserted: parity collection reaches
-  across the topology, so no interaction is ever left non-local.
+  across the topology, so no interaction is ever left non-local, and
+  the layout is the same at the end as at the start.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import CircuitIR, Gate, _parity_replay, metrics
+from .circuits import PLAIN_GATES, CircuitIR, Gate, _parity_replay, metrics
 from .errors import DomainError, TanglewalkError
 from .ising import IsingPolynomial
-from .qaoa import QaoaSchedule
+from .qaoa import QaoaSchedule, _checked_prior
 from .topology import Topology
 
 EXHAUSTIVE_LAYOUT_CAP = 5040  # candidate assignments tried exhaustively
-DEFAULT_ORDER_CAP = 8  # rotations ordered by exhaustive permutation search
+ORDER_CAP = 8  # rotations ordered by exhaustive permutation search
 
 
 @dataclass
@@ -73,10 +76,7 @@ def qaoa_circuit(
     sequence Ry(-phi), Rz(-2 beta), Ry(phi).
     """
     n = h.num_qubits
-    prior = np.asarray(prior, dtype=float)
-    if prior.shape != (n,):
-        raise DomainError(f"prior must have {n} entries")
-    phi = 2 * np.arcsin(np.sqrt(prior))
+    phi = 2 * np.arcsin(np.sqrt(_checked_prior(h, prior)))
     circ = CircuitIR(n)
     for q in range(n):
         circ.append("RY", (q,), float(phi[q]))
@@ -96,13 +96,9 @@ def qaoa_circuit(
 class _Placement:
     """Mutable logical <-> physical assignment."""
 
-    def __init__(self, layout: dict[int, int], num_physical: int):
+    def __init__(self, layout: dict[int, int]):
         self.l2p = dict(layout)
         self.p2l: dict[int, int] = {p: l for l, p in self.l2p.items()}
-        if len(self.p2l) != len(self.l2p):
-            raise DomainError("layout maps two logical qubits to one physical qubit")
-        if any(not 0 <= p < num_physical for p in self.l2p.values()):
-            raise DomainError("layout targets a physical qubit outside the topology")
 
     def swap_physical(self, a: int, b: int):
         la, lb = self.p2l.pop(a, None), self.p2l.pop(b, None)
@@ -126,23 +122,22 @@ def compile_naive(
     circ: CircuitIR, topo: Topology, layout_seed: int | None = None
 ) -> CompiledCircuit:
     """Baseline: CX ladders for every rotation, shortest-path SWAP routing."""
+    _check_input(circ, topo)
     initial_layout = _initial_layout(circ, topo, layout_seed)
-    place = _Placement(initial_layout, topo.num_qubits)
+    place = _Placement(initial_layout)
     out: list[Gate] = []
     for g in circ.gates:
-        if len(g.qubits) == 1:
+        if g.name in ("RY", "RZ"):
             out.append(Gate(g.name, (place.l2p[g.qubits[0]],), g.theta))
-        elif g.name in ("CX", "RZZ", "SWAP") or (g.name == "MULTIRZ" and len(g.qubits) == 2):
+        elif len(g.qubits) == 2:  # RZZ, or a two-qubit MULTIRZ
             a, b = g.qubits
             _route_adjacent(topo, place, a, b, out)
-            name = "RZZ" if g.name == "MULTIRZ" else g.name
-            out.append(Gate(name, (place.l2p[a], place.l2p[b]), g.theta))
-            if g.name == "SWAP":
-                place.swap_physical(place.l2p[a], place.l2p[b])
-        elif g.name == "MULTIRZ":
-            # CX ladder over logical pairs; each leg is routed at its current
-            # positions, so the mirror stays correct even when routing for a
-            # later leg has moved qubits in between.
+            out.append(Gate("RZZ", (place.l2p[a], place.l2p[b]), g.theta))
+        else:
+            # CX ladder over logical pairs (none for a one-qubit MULTIRZ);
+            # each leg is routed at its current positions, so the mirror
+            # stays correct even when routing for a later leg has moved
+            # qubits in between.
             order = sorted(g.qubits, key=lambda q: place.l2p[q])
             ladder = list(zip(order, order[1:]))
             for prev, cur in ladder:
@@ -152,8 +147,6 @@ def compile_naive(
             for prev, cur in reversed(ladder):
                 _route_adjacent(topo, place, prev, cur, out)
                 out.append(Gate("CX", (place.l2p[prev], place.l2p[cur])))
-        else:  # pragma: no cover - Gate validation forbids other names
-            raise DomainError(f"cannot compile gate {g.name}")
     return CompiledCircuit(
         CircuitIR(topo.num_qubits, out),
         initial_layout=initial_layout,
@@ -169,8 +162,18 @@ def _check_fits(circ: CircuitIR, topo: Topology):
         )
 
 
-def _initial_layout(circ: CircuitIR, topo: Topology, seed: int | None) -> dict[int, int]:
+def _check_input(circ: CircuitIR, topo: Topology):
+    """Both compilers take the gates ``qaoa_circuit`` emits: RY and diagonal gates."""
     _check_fits(circ, topo)
+    for g in circ.gates:
+        if g.name in PLAIN_GATES:
+            raise DomainError(
+                f"cannot compile {g.name} on {g.qubits}: the compilers take RY and "
+                "diagonal gates only"
+            )
+
+
+def _initial_layout(circ: CircuitIR, topo: Topology, seed: int | None) -> dict[int, int]:
     if seed is None:
         return {q: q for q in range(circ.num_qubits)}
     rng = np.random.default_rng(seed)
@@ -264,7 +267,7 @@ def _plan_rotation(topo: Topology, support: frozenset[int], theta: float) -> _Ro
     return _RotationPlan(tuple(network), Gate("RZZ", (u, v), theta))
 
 
-def _order_plans(plans: list[_RotationPlan], order_cap: int) -> list[int]:
+def _order_plans(plans: list[_RotationPlan]) -> list[int]:
     """Order rotations to maximise shared network prefixes between neighbours.
 
     Each network is a row of gate ids (padded, with a validity mask), and a
@@ -290,7 +293,7 @@ def _order_plans(plans: list[_RotationPlan], order_cap: int) -> list[int]:
         row[same] = np.cumprod((ids[same] == ids[i]) & valid[same], axis=1).sum(axis=1)
         return row
 
-    if m <= order_cap:
+    if m <= ORDER_CAP:
         overlap = [overlap_row(i).tolist() for i in range(m)]
         best_order, best_score = None, -1
         for perm in itertools.permutations(range(m)):
@@ -376,20 +379,19 @@ def _verify_diagonal_run(gates: list[Gate], expected: list[tuple[int, float]], n
         raise TanglewalkError("internal: compiled rotations do not match the cost terms")
 
 
-def _compile_diagonal_run(gates: list[Gate], topo: Topology, place: _Placement) -> list[Gate]:
+def _compile_diagonal_run(gates: list[Gate], topo: Topology, layout: dict[int, int]) -> list[Gate]:
     singles: list[Gate] = []
     plans: list[_RotationPlan] = []
     expected: list[tuple[int, float]] = []
     for g in gates:
-        phys = tuple(sorted(place.l2p[q] for q in g.qubits))
+        phys = tuple(sorted(layout[q] for q in g.qubits))
         expected.append((sum(1 << q for q in phys), g.theta))
         if len(phys) == 1:
             singles.append(Gate("RZ", phys, g.theta))
         else:
             plans.append(_plan_rotation(topo, frozenset(phys), g.theta))
-    ordered = _order_plans(plans, DEFAULT_ORDER_CAP)
     emitted: list[Gate] = []
-    for idx in ordered:
+    for idx in _order_plans(plans):
         emitted.extend(plans[idx].emit())
     out = singles + _cancel_adjacent_cx(emitted)
     _verify_diagonal_run(out, expected, topo.num_qubits)
@@ -401,44 +403,34 @@ def compile_parity(
     topo: Topology,
     layout: dict[int, int] | None = None,
 ) -> CompiledCircuit:
-    """Parity-network compilation of the diagonal blocks of a circuit.
+    """Parity-network compilation of a circuit of RY and diagonal gates.
 
     Maximal runs of diagonal gates are compiled together so CX networks
-    cancel between rotations; other gates pass through at their mapped
-    positions.  ``layout`` pins the placement, otherwise a search
-    minimises the spread of rotation supports.  The result is always the
-    parity plan; ``compile_naive`` is the separate baseline.
+    cancel between rotations; each RY is placed on its mapped qubit.  No
+    qubit ever moves, so ``final_layout`` is the initial layout.
+    ``layout`` pins the placement, otherwise a search minimises the spread
+    of rotation supports.  The result is always the parity plan;
+    ``compile_naive`` is the separate baseline.
     """
-    _check_fits(circ, topo)
+    _check_input(circ, topo)
     if layout is None:
         layout = search_layout(circ, topo)
     elif set(layout) != set(range(circ.num_qubits)):
         raise DomainError("layout must place every logical qubit of the circuit")
-    place = _Placement(layout, topo.num_qubits)
+    elif len(set(layout.values())) != len(layout):
+        raise DomainError("layout maps two logical qubits to one physical qubit")
+    elif any(not 0 <= p < topo.num_qubits for p in layout.values()):
+        raise DomainError("layout targets a physical qubit outside the topology")
     out: list[Gate] = []
-    run: list[Gate] = []
-    for g in circ.gates:
-        if g.name in ("RZ", "RZZ", "MULTIRZ"):
-            run.append(g)
-            continue
-        if run:
-            out.extend(_compile_diagonal_run(run, topo, place))
-            run = []
-        if len(g.qubits) == 1:
-            out.append(Gate(g.name, (place.l2p[g.qubits[0]],), g.theta))
-        else:  # CX/SWAP passthrough: route like the baseline
-            a, b = g.qubits
-            _route_adjacent(topo, place, a, b, out)
-            out.append(Gate(g.name, (place.l2p[a], place.l2p[b]), g.theta))
-            if g.name == "SWAP":
-                place.swap_physical(place.l2p[a], place.l2p[b])
-    if run:
-        out.extend(_compile_diagonal_run(run, topo, place))
-
+    for is_ry, gates in itertools.groupby(circ.gates, key=lambda g: g.name == "RY"):
+        if is_ry:
+            out.extend(Gate("RY", (layout[g.qubits[0]],), g.theta) for g in gates)
+        else:
+            out.extend(_compile_diagonal_run(list(gates), topo, layout))
     return CompiledCircuit(
         CircuitIR(topo.num_qubits, out),
         initial_layout=dict(layout),
-        final_layout=dict(place.l2p),
+        final_layout=dict(layout),
         method="parity",
     )
 

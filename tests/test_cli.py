@@ -129,6 +129,14 @@ class TestSolve:
         )
         assert read_json(out) == json.loads(json.dumps(record.to_dict()))
 
+    def test_graph_and_encoded_input_write_identical_json(self, tangle2_file, tmp_path):
+        penalties = ["--kind", "qubo", "--one-hot-penalty", "0.3", "--edge-penalty", "0.7"]
+        by_graph, poly, by_poly = (tmp_path / name for name in ("g.json", "p.json", "e.json"))
+        assert main(["solve", tangle2_file, *penalties, "-o", str(by_graph)]) == 0
+        assert main(["encode", tangle2_file, *penalties, "-o", str(poly)]) == 0
+        assert main(["solve", str(poly), "--graph", tangle2_file, "-o", str(by_poly)]) == 0
+        assert by_graph.read_bytes() == by_poly.read_bytes()
+
     def test_qubo_kind_reaches_zero(self, tangle2_file, tmp_path):
         out = tmp_path / "run.json"
         code = main(
@@ -457,6 +465,22 @@ def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, argv, fi
         (tmp_path / name).write_bytes(data)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [["--shots", "0"], ["--iters", "0"], ["--p", "0"], ["--alpha", "0"], ["--alpha", "1.5"]],
+    ids=lambda setting: "".join(setting),
+)
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+def test_bad_run_setting_is_config_error(tmp_path, capsys, tangle2_file, command, setting):
+    if command == "solve":
+        argv = ["solve", tangle2_file, "-o", str(tmp_path / "run.json")]
+    else:
+        argv = ["pipeline", "--graph", tangle2_file, "-o", str(tmp_path / "runs.json")]
+    assert main(argv + setting) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("run*.json"))
 
 
 def test_unknown_flag_exits_two():

@@ -51,6 +51,17 @@ def test_pair_substitution():
     assert h.terms == {(0,): -0.25, (1,): -0.25, (0, 1): 0.25}
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_to_ising_is_independent_of_term_order(seed):
+    # Non-dyadic penalties make the float sums order-sensitive; a polynomial
+    # read back from its JSON lists its terms in another order.
+    g = generate_tangle(seed, 2, 2, 0.25)
+    p = encode_qubo(g, default_walk_length(g), 0.3, 0.7)
+    reordered = BinaryPolynomial(p.num_vars, dict(reversed(list(p.terms.items()))))
+    assert to_ising(p) == to_ising(reordered)
+    assert to_ising(p) == to_ising(BinaryPolynomial.from_dict(p.to_dict()))
+
+
 def test_repeated_qubits_square_to_one():
     # Z_q * Z_q = 1: pairs of a repeated qubit cancel, an odd count leaves Z_q.
     assert IsingPolynomial(3, {(0, 1, 0): 1.0}).terms == {(1,): 1.0}

@@ -5,37 +5,41 @@ from tanglewalk import build_topology, export_wcnf
 from helpers import eval_clause, parse_wcnf
 
 
+def placement_var(s, l, p, num_logical, num_physical):
+    """The documented number of "logical l sits on physical p in segment s"."""
+    return 1 + (s * num_logical + l) * num_physical + p
+
+
 class TestExport:
     def test_no_interactions_hard_only(self):
-        problem = export_wcnf([], build_topology("linear", 2))
-        _, hard, soft = parse_wcnf(problem.text)
+        text = export_wcnf([], build_topology("linear", 2))
+        _, hard, soft = parse_wcnf(text)
         assert soft == []
         assert hard == []  # no logical qubits, nothing to constrain
 
     def test_single_pair_on_two_qubit_line(self):
         topo = build_topology("linear", 2)
-        problem = export_wcnf([(0, 1)], topo, swap_depth=0)
-        num_vars, hard, soft = parse_wcnf(problem.text)
-        assert len(soft) == 1
+        num_vars, hard, soft = parse_wcnf(export_wcnf([(0, 1)], topo, swap_depth=0))
+        # 2 x 2 placement variables, then one aux for the one connected pair
+        assert num_vars == 5
+        assert soft == [(1, [5])]
         # both placements of two logical qubits on the line satisfy the soft clause
         for phys0, phys1 in [(0, 1), (1, 0)]:
             assignment = {v: False for v in range(1, num_vars + 1)}
-            assignment[problem.meta.placement_vars[(0, 0, phys0)]] = True
-            assignment[problem.meta.placement_vars[(0, 1, phys1)]] = True
-            aux = problem.meta.aux_vars[(0, 0, (0, 1))]
-            assignment[aux] = True
+            assignment[placement_var(0, 0, phys0, 2, 2)] = True
+            assignment[placement_var(0, 1, phys1, 2, 2)] = True
+            assignment[5] = True
             assert all(eval_clause(c, assignment) for c in hard)
             assert all(eval_clause(c, assignment) for _, c in soft)
 
     def test_identity_assignment_satisfies_hard_clauses(self):
         # Staying put is always legal, for any swap depth.
         topo = build_topology("grid", (2, 2))
-        problem = export_wcnf([(0, 1), (1, 2, 3)], topo, swap_depth=2)
-        num_vars, hard, _ = parse_wcnf(problem.text)
+        num_vars, hard, _ = parse_wcnf(export_wcnf([(0, 1), (1, 2, 3)], topo, swap_depth=2))
         assignment = {v: False for v in range(1, num_vars + 1)}
-        for s in range(problem.meta.num_segments):
-            for l in range(problem.meta.num_logical):
-                assignment[problem.meta.placement_vars[(s, l, l)]] = True
+        for s in range(3):
+            for l in range(4):
+                assignment[placement_var(s, l, l, 4, 4)] = True
         assert all(eval_clause(c, assignment) for c in hard)
 
     def test_hops_must_pair_into_swaps(self):
@@ -43,15 +47,13 @@ class TestExport:
         # logical one step around it is a chain of legal hops but not a swap
         # layer; only the swap-pairing clauses tell the two apart.
         topo = build_topology("grid", (2, 2))
-        problem = export_wcnf([(0, 1), (2, 3), (0, 3)], topo, swap_depth=1)
-        num_vars, hard, _ = parse_wcnf(problem.text)
-        assert problem.meta.num_logical == 4
+        num_vars, hard, _ = parse_wcnf(export_wcnf([(0, 1), (2, 3), (0, 3)], topo, swap_depth=1))
 
         def hard_clauses_hold(before, after):
             assignment = {v: False for v in range(1, num_vars + 1)}
             for s, placement in enumerate((before, after)):
                 for l, p in enumerate(placement):
-                    assignment[problem.meta.placement_vars[(s, l, p)]] = True
+                    assignment[placement_var(s, l, p, 4, 4)] = True
             return all(eval_clause(c, assignment) for c in hard)
 
         identity = (0, 1, 2, 3)
@@ -66,9 +68,8 @@ class TestExport:
         for n in (3, 4, 5):
             topo = build_topology("linear", n)
             interactions = [(i, i + 1) for i in range(n - 1)]
-            problem = export_wcnf(interactions, topo, swap_depth=1)
-            _, hard, soft = parse_wcnf(problem.text)
-            counts.append((problem.meta.num_vars, len(hard) + len(soft)))
+            num_vars, hard, soft = parse_wcnf(export_wcnf(interactions, topo, swap_depth=1))
+            counts.append((num_vars, len(hard) + len(soft)))
         # loose cubic bound in qubits x depth x interactions
         for n, (num_vars, num_clauses) in zip((3, 4, 5), counts):
             budget = 40 * (n**2) * 2 * n
@@ -76,14 +77,14 @@ class TestExport:
 
     def test_max_order_cap_skips_large_interactions(self):
         topo = build_topology("linear", 5)
-        problem = export_wcnf([(0, 1, 2, 3, 4), (0, 1)], topo, max_order=3)
-        assert problem.meta.considered == [1]
-        _, _, soft = parse_wcnf(problem.text)
-        assert len(soft) == 1
+        num_vars, _, soft = parse_wcnf(export_wcnf([(0, 1, 2, 3, 4), (0, 1)], topo, max_order=3))
+        # 5 x 5 placement variables, then one aux per edge for (0, 1) only
+        assert num_vars == 25 + 4
+        assert soft == [(1, [26, 27, 28, 29])]
 
     def test_header_styles(self):
         classic = export_wcnf([(0, 1)], build_topology("linear", 2))
-        assert classic.text.startswith("p wcnf ")
+        assert classic.startswith("p wcnf ")
 
 
 class TestBruteForce:
@@ -101,15 +102,13 @@ class TestBruteForce:
 
         best = {}
         for depth in (0, 1):
-            problem = export_wcnf(interactions, topo, swap_depth=depth)
-            _, hard, soft = parse_wcnf(problem.text)
-            aux_defs = {
-                v: [c for c in hard if -v in c] for v in problem.meta.aux_vars.values()
-            }
+            num_vars, hard, soft = parse_wcnf(export_wcnf(interactions, topo, swap_depth=depth))
+            first_aux = placement_var(depth + 1, 0, 0, 3, 3)  # just past the placements
+            aux_defs = {v: [c for c in hard if -v in c] for v in range(first_aux, num_vars + 1)}
             scores = []
             for chain in itertools.product(placements, repeat=depth + 1):
                 assignment = {
-                    problem.meta.placement_vars[(s, l, p)]: True
+                    placement_var(s, l, p, 3, 3): True
                     for s, perm in enumerate(chain)
                     for l, p in enumerate(perm)
                 }

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -20,9 +21,10 @@ from tanglewalk import (
     to_ising,
     verify_equivalence,
 )
+from tanglewalk import transpile
 from tanglewalk.transpile import (
-    DEFAULT_ORDER_CAP,
     EXHAUSTIVE_LAYOUT_CAP,
+    ORDER_CAP,
     _order_plans,
     _plan_rotation,
     _RotationPlan,
@@ -103,6 +105,52 @@ class TestQaoaCircuit:
         probs_sim = simulate(h, prior, schedule)
         assert 0.5 * np.abs(probs_circ - probs_sim).sum() < 1e-12
 
+    @pytest.mark.parametrize("bad", [1.5, float("nan")])
+    def test_prior_outside_unit_interval(self, tangle2, bad):
+        # simulate rejects the same prior; an RY(nan) must never be emitted.
+        h = to_ising(encode_hubo(tangle2, 2))
+        prior = [0.5, 0.5, bad, 0.5]
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            qaoa_circuit(h, lr_schedule(1, 0.75, 0.30), prior)
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            simulate(h, prior, lr_schedule(1, 0.75, 0.30))
+
+
+@pytest.mark.parametrize("compiler", [compile_parity, compile_naive])
+@pytest.mark.parametrize("gate", [Gate("CX", (0, 1)), Gate("SWAP", (1, 2))])
+def test_compilers_reject_cx_and_swap(compiler, gate):
+    circ = CircuitIR(3, [Gate("RY", (0,), 0.3), Gate("RZZ", (0, 2), 0.5), gate])
+    with pytest.raises(DomainError, match=f"cannot compile {gate.name}"):
+        compiler(circ, build_topology("linear", 3))
+
+
+def compile_digest(layers) -> str:
+    """SHA-256 over every compiled gate (name, qubits, exact angle) and both layouts."""
+    digest = hashlib.sha256()
+    for layer in layers:
+        n = layer.num_qubits
+        for topo in (
+            build_topology("linear", n),
+            acceptance.grid_for(n),
+            build_topology("heavy-hex", 1),
+        ):
+            for compiler in (compile_parity, compile_naive):
+                compiled = compiler(layer, topo)
+                for g in compiled.circuit.gates:
+                    theta = "-" if g.theta is None else g.theta.hex()
+                    digest.update(f"{g.name} {g.qubits} {theta};".encode())
+                for layout in (compiled.initial_layout, compiled.final_layout):
+                    digest.update(f"{sorted(layout.items())}|".encode())
+    return digest.hexdigest()
+
+
+def test_criterion_06_family_compiles_to_pinned_digest():
+    # The 300 criterion-06 compilations, pinned: a rewrite of either
+    # compiler that changes one gate, angle bit or layout fails here.
+    assert compile_digest(acceptance.hubo_layers(50, 4, 8)) == (
+        "35f602e21f40336e8a8b4f8c624e9c594983b467dbfe4fb2efa0e6b81ee610a4"
+    )
+
 
 class TestCompileNaive:
     def test_ladder_counts(self):
@@ -134,6 +182,12 @@ class TestCompileNaive:
     def test_topology_too_small(self):
         with pytest.raises(DomainError):
             compile_naive(CircuitIR(4), build_topology("linear", 3))
+
+    def test_one_qubit_multirz_becomes_rz(self):
+        circ = CircuitIR(2, [Gate("MULTIRZ", (1,), 0.4), Gate("RZZ", (0, 1), 0.3)])
+        compiled = compile_naive(circ, build_topology("linear", 2))
+        assert compiled.circuit.gates == [Gate("RZ", (1,), 0.4), Gate("RZZ", (0, 1), 0.3)]
+        assert verify_equivalence(circ, compiled)
 
 
 class TestCompileParity:
@@ -232,6 +286,27 @@ class TestCompileParity:
         a = compile_parity(layer, topo)
         b = compile_parity(layer, topo)
         assert a.circuit.gates == b.circuit.gates
+
+    def test_layout_is_fixed(self, tangle2):
+        h = to_ising(encode_hubo(tangle2, 2))
+        circ = qaoa_circuit(h, lr_schedule(2, 0.75, 0.30), np.full(4, 0.5))
+        for topo in (build_topology("linear", 6), build_topology("grid", (2, 3))):
+            compiled = compile_parity(circ, topo)
+            assert compiled.final_layout == compiled.initial_layout
+            assert verify_equivalence(circ, compiled)
+
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ({0: 0, 1: 1}, "every logical qubit"),
+            ({0: 0, 1: 1, 2: 1}, "two logical qubits"),
+            ({0: 0, 1: 1, 2: 3}, "outside the topology"),
+        ],
+    )
+    def test_rejects_bad_layout(self, layout, message):
+        circ = CircuitIR(3, [Gate("MULTIRZ", (0, 1, 2), 0.7)])
+        with pytest.raises(DomainError, match=message):
+            compile_parity(circ, build_topology("linear", 3), layout=layout)
 
 
 class TestDiagonalRunSelfCheck:
@@ -395,21 +470,22 @@ class TestOrderPlansMatchesOracle:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_greedy(self, seed):
         rng = np.random.default_rng(seed)
-        m = int(rng.integers(DEFAULT_ORDER_CAP + 1, 60))
+        m = int(rng.integers(ORDER_CAP + 1, 60))
         plans = random_plans(rng, m, int(rng.integers(1, 4)), int(rng.integers(0, 6)))
-        expected = greedy_order_plans(plans, DEFAULT_ORDER_CAP)
-        assert _order_plans(plans, DEFAULT_ORDER_CAP) == expected
+        assert _order_plans(plans) == greedy_order_plans(plans, ORDER_CAP)
 
     @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("order_cap", [0, DEFAULT_ORDER_CAP])
-    def test_random_small(self, seed, order_cap):
+    @pytest.mark.parametrize("order_cap", [0, ORDER_CAP])
+    def test_random_small(self, seed, order_cap, monkeypatch):
+        # A cap of 0 sends these few plans down the greedy branch.
+        monkeypatch.setattr(transpile, "ORDER_CAP", order_cap)
         rng = np.random.default_rng(100 + seed)
         plans = random_plans(rng, int(rng.integers(0, 8)), 2, 4)
-        assert _order_plans(plans, order_cap) == greedy_order_plans(plans, order_cap)
+        assert _order_plans(plans) == greedy_order_plans(plans, order_cap)
 
     def test_all_networks_empty(self):
         plans = random_plans(np.random.default_rng(0), 20, 1, 0)
-        assert _order_plans(plans, DEFAULT_ORDER_CAP) == list(range(20))
+        assert _order_plans(plans) == list(range(20))
 
     def test_plans_of_a_wide_layer(self):
         g = generate_tangle(8, 4, 2, 0.2)
@@ -422,7 +498,6 @@ class TestOrderPlansMatchesOracle:
             for gate in layer.gates
             if len(gate.qubits) > 1
         ]
-        assert len(plans) > DEFAULT_ORDER_CAP
-        expected = greedy_order_plans(plans, DEFAULT_ORDER_CAP)
-        assert _order_plans(plans, DEFAULT_ORDER_CAP) == expected
+        assert len(plans) > ORDER_CAP
+        assert _order_plans(plans) == greedy_order_plans(plans, ORDER_CAP)
 

@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import maxsat
+from . import encoding, maxsat
 from .encoding import HuboLayout, QuboLayout, decode_hubo, decode_qubo, encode_hubo, encode_qubo
 from .errors import ConfigError, DomainError, SizeCapError
 from .graphs import (
@@ -378,9 +378,9 @@ class ExperimentConfig:
     iters: int = 5
     seeds: tuple[int, ...] = (0,)
     target: float | None = 0.0
-    one_hot_penalty: float = 10
-    edge_penalty: float = 5
-    hubo_penalty: float = 10
+    one_hot_penalty: float = encoding.DEFAULT_ONE_HOT_PENALTY
+    edge_penalty: float = encoding.DEFAULT_EDGE_PENALTY
+    hubo_penalty: float = encoding.DEFAULT_HUBO_EDGE_PENALTY
     output: str | None = None
 
     @classmethod
@@ -482,29 +482,31 @@ def cmd_pipeline(args) -> int:
 
 
 def _add_generator_flags(sub, with_graph=True):
-    sub.add_argument("--seed", type=int, default=1, help="instance generator seed")
-    sub.add_argument("--nodes", type=int, default=2)
-    sub.add_argument("--max-weight", dest="max_weight", type=int, default=2)
-    sub.add_argument("--density", type=float, default=0.25)
+    d = ExperimentConfig()
+    sub.add_argument("--seed", type=int, default=d.seed, help="instance generator seed")
+    sub.add_argument("--nodes", type=int, default=d.nodes)
+    sub.add_argument("--max-weight", dest="max_weight", type=int, default=d.max_weight)
+    sub.add_argument("--density", type=float, default=d.density)
     if with_graph:
         sub.add_argument("--graph", help="graph JSON file (overrides generator flags)")
 
 
 def _add_encode_flags(sub):
-    sub.add_argument("--kind", choices=("qubo", "hubo"), default="hubo")
+    d = ExperimentConfig()
+    sub.add_argument("--kind", choices=("qubo", "hubo"), default=d.kind)
     sub.add_argument("--length", type=int, default=None, help="walk length T (default: sum of weights)")
-    sub.add_argument("--one-hot-penalty", dest="one_hot_penalty", type=float, default=10)
-    sub.add_argument("--edge-penalty", dest="edge_penalty", type=float, default=5)
-    sub.add_argument("--hubo-penalty", dest="hubo_penalty", type=float, default=10)
+    for name in ("one_hot_penalty", "edge_penalty", "hubo_penalty"):
+        sub.add_argument("--" + name.replace("_", "-"), type=float, default=getattr(d, name))
 
 
 def _add_run_flags(sub):
-    sub.add_argument("--p", type=int, default=1, help="LR-QAOA layers")
+    d = ExperimentConfig()
+    sub.add_argument("--p", type=int, default=d.p, help="LR-QAOA layers")
     sub.add_argument("--dbeta", type=float, default=None)
     sub.add_argument("--dgamma", type=float, default=None)
-    sub.add_argument("--shots", type=int, default=400)
-    sub.add_argument("--alpha", type=float, default=0.1)
-    sub.add_argument("--iters", type=int, default=5)
+    sub.add_argument("--shots", type=int, default=d.shots)
+    sub.add_argument("--alpha", type=float, default=d.alpha)
+    sub.add_argument("--iters", type=int, default=d.iters)
     sub.add_argument("--target", type=float, default=None, help="stop once this energy is sampled")
 
 
@@ -542,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("sweep", help="p_opt heatmap over (dbeta, dgamma)")
     _add_generator_flags(sub)
     _add_encode_flags(sub)
-    sub.add_argument("--p", default="1", help="comma-separated layer counts")
+    sub.add_argument("--p", default=str(ExperimentConfig().p), help="comma-separated layer counts")
     sub.add_argument("--dbetas", default="0.1:1.0:10", help="list a,b,c or range start:stop:count")
     sub.add_argument("--dgammas", default="0.1:1.0:10")
     sub.add_argument("-o", "--output", default="-")
@@ -551,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("compile", help="compile the cost circuit to a topology")
     _add_generator_flags(sub)
     _add_encode_flags(sub)
-    sub.add_argument("--p", type=int, default=1)
+    sub.add_argument("--p", type=int, default=ExperimentConfig().p)
     sub.add_argument("--dbeta", type=float, default=None)
     sub.add_argument("--dgamma", type=float, default=None)
     sub.add_argument("--topology", default="linear:8", help="linear:N, grid:RxC, or heavy-hex:C")

@@ -5,6 +5,8 @@ bit i (LSB first), bit value 0 maps to Z eigenvalue +1 and bit value 1
 to -1.  Substituting x_i -> (1 - Z_i)/2 turns a multilinear binary
 polynomial into a Z-term list whose computational-basis energies
 reproduce the binary cost exactly (dyadic-rational arithmetic).
+``to_ising`` collects the Z terms through ``polynomials._accumulate``; the
+``IsingPolynomial`` it builds is a frozen, validated value.
 
 ``diagonal`` scatters the constant and the term coefficients into a
 vector indexed by qubit mask and applies one in-place fast Walsh-Hadamard
@@ -20,12 +22,13 @@ n * eps * (|constant| + sum |coeff|).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .errors import DomainError, SizeCapError
-from .polynomials import BinaryPolynomial, Monomial
+from .polynomials import BinaryPolynomial, Monomial, _accumulate
 
 MEMORY_BUDGET = 4 << 30  # bytes any one dense path may peak at
 # Peak bytes of each dense path: 1 MiB (NumPy's iterator buffers), a worst
@@ -40,52 +43,27 @@ _PEAK_BYTES_PER_STATE = {"diagonal": 12, "parity table": 12, "simulate": 60, "sw
 _PEAK_BYTES_PER_LEVEL = 24
 
 
+@dataclass(frozen=True)
 class IsingPolynomial:
-    """constant + sum over qubit sets S of coeff_S * prod_{i in S} Z_i."""
+    """constant + sum over qubit sets S of coeff_S * prod_{i in S} Z_i.
 
-    __slots__ = ("num_qubits", "terms", "constant")
+    Each key of ``terms`` is a non-empty sorted tuple of distinct qubits.
+    """
 
-    def __init__(self, num_qubits: int, terms=None, constant=0.0):
-        if num_qubits < 0:
-            raise DomainError(f"num_qubits must be >= 0, got {num_qubits}")
-        self.num_qubits = num_qubits
-        self.constant = constant
-        self.terms: dict[Monomial, float] = {}
-        if terms:
-            for qubits, coeff in dict(terms).items():
-                self.add_term(qubits, coeff)
+    num_qubits: int
+    terms: dict[Monomial, float] = field(default_factory=dict)
+    constant: float = 0.0
 
-    def add_term(self, qubits, coeff):
-        if coeff == 0:
-            return
-        key = tuple(sorted(set(qubits)))
-        for q in key:
-            if not 0 <= q < self.num_qubits:
-                raise DomainError(f"qubit index {q} outside [0, {self.num_qubits})")
-        if len(key) != len(qubits):  # Z_q * Z_q = 1: only odd repeats remain
-            key = tuple(q for q in key if qubits.count(q) % 2)
-        if not key:
-            self.constant += coeff
-            return
-        new = self.terms.get(key, 0) + coeff
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IsingPolynomial)
-            and self.num_qubits == other.num_qubits
-            and self.terms == other.terms
-            and self.constant == other.constant
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"IsingPolynomial(num_qubits={self.num_qubits}, "
-            f"terms={len(self.terms)}, constant={self.constant})"
-        )
+    def __post_init__(self):
+        n = self.num_qubits
+        if n < 0:
+            raise DomainError(f"num_qubits must be >= 0, got {n}")
+        for key, coeff in self.terms.items():
+            ints = type(key) is tuple and all(type(q) is int for q in key)
+            if not (ints and key and list(key) == sorted(set(key)) and 0 <= key[0] <= key[-1] < n):
+                raise DomainError(f"Z term {key!r} is not sorted distinct qubits in [0, {n})")
+            if coeff == 0:
+                raise DomainError(f"Z term {key!r} has a zero coefficient")
 
 
 def to_ising(p: BinaryPolynomial) -> IsingPolynomial:
@@ -94,15 +72,16 @@ def to_ising(p: BinaryPolynomial) -> IsingPolynomial:
     Each degree-d binary monomial expands into 2^d Z terms with
     coefficients coeff / 2^d, signed by the subset parity.
     """
-    h = IsingPolynomial(p.num_vars)
+    terms: dict[Monomial, float] = {}
     for mono, coeff in sorted(p.terms.items()):
         d = len(mono)
         base = coeff / (2**d) if d else coeff
         for r in range(d + 1):
             sign = -1 if r % 2 else 1
             for subset in combinations(mono, r):
-                h.add_term(subset, sign * base)
-    return h
+                _accumulate(terms, subset, sign * base)
+    constant = float(terms.pop((), 0.0))
+    return IsingPolynomial(p.num_vars, terms, constant)
 
 
 def _walsh_hadamard(coeffs: np.ndarray) -> np.ndarray:

@@ -1,81 +1,67 @@
-"""Sparse multilinear polynomials over {0,1} variables.
+"""Sparse multilinear polynomials over {0,1} variables, and their term store.
 
 Monomials are canonical sorted tuples of distinct variable indices
 (``x**2 == x`` is applied when terms are inserted), the constant term is
 keyed by the empty tuple, and zero coefficients are never stored.
 Coefficients stay exact Python ints whenever the inputs are integral.
+``_accumulate`` is that term store, shared with ``ising.to_ising``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import DomainError
 
 Monomial = tuple[int, ...]
 
 
+def _accumulate(terms: dict, mono: Monomial, coeff):
+    """Add ``coeff`` to ``terms[mono]``, dropping the key when the sum is zero."""
+    if coeff == 0:
+        return
+    new = terms.get(mono, 0) + coeff
+    if new == 0:
+        terms.pop(mono, None)
+    else:
+        terms[mono] = new
+
+
+@dataclass
 class BinaryPolynomial:
     """Multilinear polynomial p(x) = sum over monomials of coeff * prod(x_i)."""
 
-    __slots__ = ("num_vars", "terms")
+    num_vars: int
+    terms: dict[Monomial, float] = field(default_factory=dict)
 
-    def __init__(self, num_vars: int, terms: Mapping[Monomial, float] | None = None):
-        if num_vars < 0:
-            raise DomainError(f"num_vars must be >= 0, got {num_vars}")
-        self.num_vars = num_vars
-        self.terms: dict[Monomial, float] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                self.add_term(mono, coeff)
+    def __post_init__(self):
+        if self.num_vars < 0:
+            raise DomainError(f"num_vars must be >= 0, got {self.num_vars}")
+        given, self.terms = self.terms, {}
+        for mono, coeff in given.items():
+            self.add_term(mono, coeff)
 
     def add_term(self, variables: Iterable[int], coeff):
         """Accumulate ``coeff`` on the monomial of ``variables`` (multilinear)."""
-        if coeff == 0:
-            return
         mono = tuple(sorted(set(variables)))
         for v in mono:
             if not 0 <= v < self.num_vars:
                 raise DomainError(f"variable index {v} outside [0, {self.num_vars})")
-        new = self.terms.get(mono, 0) + coeff
-        if new == 0:
-            self.terms.pop(mono, None)
-        else:
-            self.terms[mono] = new
+        _accumulate(self.terms, mono, coeff)
 
     def add_polynomial(self, other: "BinaryPolynomial", scale=1):
+        if other.num_vars > self.num_vars:
+            raise DomainError(f"cannot add {other.num_vars} variables into {self.num_vars}")
         for mono, coeff in other.terms.items():
-            self.add_term(mono, coeff * scale)
+            _accumulate(self.terms, mono, coeff * scale)
 
     def multiply(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
         out = BinaryPolynomial(max(self.num_vars, other.num_vars))
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                out.add_term(set(m1) | set(m2), c1 * c2)
+                _accumulate(out.terms, tuple(sorted({*m1, *m2})), c1 * c2)
         return out
-
-    def evaluate(self, x: Sequence[int]):
-        if len(x) != self.num_vars:
-            raise DomainError(f"expected {self.num_vars} bits, got {len(x)}")
-        total = 0
-        for mono, coeff in self.terms.items():
-            if all(x[v] for v in mono):
-                total += coeff
-        return total
-
-    @property
-    def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinaryPolynomial)
-            and self.num_vars == other.num_vars
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return f"BinaryPolynomial(num_vars={self.num_vars}, terms={len(self.terms)})"
 
     def to_dict(self) -> dict:
         return {

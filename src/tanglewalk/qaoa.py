@@ -218,7 +218,6 @@ class SampleBatch:
     counts: np.ndarray
     energies: np.ndarray
     shots: int
-    iteration: int = 0
 
     def bit_matrix(self) -> np.ndarray:
         cols = np.arange(self.num_qubits, dtype=np.uint64)
@@ -231,9 +230,7 @@ class SampleBatch:
         return float(self.energies.min())
 
 
-def sample(
-    probs: np.ndarray, shots: int, seed, energies: np.ndarray, iteration: int = 0
-) -> SampleBatch:
+def sample(probs: np.ndarray, shots: int, seed, energies: np.ndarray) -> SampleBatch:
     """Multinomial draw from an exact distribution, deterministic in the seed."""
     if shots < 0:
         raise DomainError(f"shots must be >= 0, got {shots}")
@@ -251,7 +248,7 @@ def sample(
         raise DomainError("probabilities must not all be zero")
     if shots == 0:
         empty = np.array([], dtype=np.uint64)
-        return SampleBatch(n, empty, empty.astype(np.int64), empty.astype(float), 0, iteration)
+        return SampleBatch(n, empty, empty.astype(np.int64), empty.astype(float), 0)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs / total)
     hit = np.nonzero(counts)[0]
@@ -261,7 +258,6 @@ def sample(
         counts=counts[hit].astype(np.int64),
         energies=energies[hit],
         shots=shots,
-        iteration=iteration,
     )
 
 
@@ -292,19 +288,14 @@ def cvar_filter(batch: SampleBatch, alpha: float) -> SampleBatch:
         counts=kept_counts[hit],
         energies=batch.energies[hit],
         shots=keep,
-        iteration=batch.iteration,
     )
 
 
-def beta_t(
-    iteration: int,
-    j_max: int = 5,
-    start: float = FEEDBACK_TEMPERATURE_START,
-    end: float = FEEDBACK_TEMPERATURE_END,
-) -> float:
+def beta_t(iteration: int, j_max: int = 5) -> float:
     """Feedback inverse temperature: quadratic ramp between the endpoints."""
     if iteration < 1:
         raise DomainError(f"iteration must be >= 1, got {iteration}")
+    start, end = FEEDBACK_TEMPERATURE_START, FEEDBACK_TEMPERATURE_END
     if j_max <= 1:
         return start
     frac = (iteration - 1) / (j_max - 1)
@@ -412,8 +403,10 @@ def iterative_qaoa(
 
     ``prior`` overrides the layout-derived initial distribution.  When
     ``config.target_energy`` is set, the loop halts as soon as any shot
-    reaches it.  ``decoder`` (bits -> dict) fills ``decoded_walk`` for
-    the best assignment seen.
+    reaches it, to within ``diagonal``'s rounding bound
+    n * eps * (|constant| + sum |coeff|): with non-dyadic coefficients an
+    optimum can sum to a few ulps above its exact value.  ``decoder``
+    (bits -> dict) fills ``decoded_walk`` for the best assignment seen.
     """
     config.validate()
     if prior is None:
@@ -425,13 +418,15 @@ def iterative_qaoa(
     schedule = lr_schedule(config.p, config.dbeta, config.dgamma)
     energies = diagonal(h)
     levels = _levels(energies)  # one phase table for every iteration
+    scale = abs(h.constant) + sum(abs(c) for c in h.terms.values())
+    slack = h.num_qubits * np.finfo(float).eps * scale
     seeds = np.random.SeedSequence(config.seed).spawn(config.iterations)
 
     record = RunRecord(kind=kind, config=config)
     termination = "max_iterations"
     for j in range(1, config.iterations + 1):
         probs = simulate(h, prior, schedule, levels)
-        batch = sample(probs, config.shots, seeds[j - 1], energies, iteration=j)
+        batch = sample(probs, config.shots, seeds[j - 1], energies)
         del probs  # the next simulate need not run beside it
         kept = cvar_filter(batch, config.alpha)
         fb = beta_t(j, config.iterations)
@@ -455,7 +450,7 @@ def iterative_qaoa(
         if (
             config.target_energy is not None
             and record.optimum_iteration is None
-            and batch.min_energy <= config.target_energy
+            and batch.min_energy <= config.target_energy + slack
         ):
             record.optimum_iteration = j
             termination = "optimum_sampled"

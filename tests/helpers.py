@@ -17,12 +17,16 @@ the in-place kernels must match bit for bit.  ``p_opt`` sums the optimal
 mass of a distribution in the order ``sweep`` must reproduce, and
 ``run_record_to_dict`` is ``RunRecord.to_dict`` as it was written out
 field by field, the reference for the JSON of ``dataclasses.asdict``.
+``OldIsingPolynomial`` and ``old_to_ising`` are the Ising term store and
+substitution as they were before both polynomial types shared one term
+store, the reference ``to_ising`` must match in key order and bits.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+from itertools import combinations
 
 import numpy as np
 
@@ -54,6 +58,24 @@ def brute_force_energies(poly) -> np.ndarray:
         else:
             values += coeff
     return values
+
+
+def evaluate(poly, x):
+    """p(x) of a BinaryPolynomial, summing ``poly.terms`` in dict order."""
+    total = 0
+    for mono, coeff in poly.terms.items():
+        if all(x[v] for v in mono):
+            total += coeff
+    return total
+
+
+def ising_terms(pairs) -> dict:
+    """Z terms of summed (qubits, coeff) pairs, keyed by sorted qubits, zero sums dropped."""
+    terms = {}
+    for qubits, coeff in pairs:
+        key = tuple(sorted(qubits))
+        terms[key] = terms.get(key, 0) + coeff
+    return {key: coeff for key, coeff in terms.items() if coeff}
 
 
 def ising_energy(h, x) -> float:
@@ -686,3 +708,55 @@ def run_record_to_dict(record) -> dict:
         "termination": record.termination,
         "decoded_walk": record.decoded_walk,
     }
+
+
+# ---------------------------------------------------------------------------
+# Ising oracle: ``IsingPolynomial``'s own term store (``add_term`` verbatim)
+# and ``to_ising`` as they were before ``polynomials._accumulate`` served
+# both polynomial types.
+
+
+class OldIsingPolynomial:
+    """constant + sum over qubit sets S of coeff_S * prod_{i in S} Z_i."""
+
+    __slots__ = ("num_qubits", "terms", "constant")
+
+    def __init__(self, num_qubits: int, constant=0.0):
+        self.num_qubits = num_qubits
+        self.constant = constant
+        self.terms: dict[tuple[int, ...], float] = {}
+
+    def add_term(self, qubits, coeff):
+        if coeff == 0:
+            return
+        key = tuple(sorted(set(qubits)))
+        for q in key:
+            if not 0 <= q < self.num_qubits:
+                raise DomainError(f"qubit index {q} outside [0, {self.num_qubits})")
+        if len(key) != len(qubits):  # Z_q * Z_q = 1: only odd repeats remain
+            key = tuple(q for q in key if qubits.count(q) % 2)
+        if not key:
+            self.constant += coeff
+            return
+        new = self.terms.get(key, 0) + coeff
+        if new == 0:
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = new
+
+
+def old_to_ising(p) -> OldIsingPolynomial:
+    """Substitute x_i -> (1 - Z_i)/2 and collect Z terms.
+
+    Each degree-d binary monomial expands into 2^d Z terms with
+    coefficients coeff / 2^d, signed by the subset parity.
+    """
+    h = OldIsingPolynomial(p.num_vars)
+    for mono, coeff in sorted(p.terms.items()):
+        d = len(mono)
+        base = coeff / (2**d) if d else coeff
+        for r in range(d + 1):
+            sign = -1 if r % 2 else 1
+            for subset in combinations(mono, r):
+                h.add_term(subset, sign * base)
+    return h

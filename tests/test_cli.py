@@ -137,6 +137,19 @@ class TestSolve:
         assert main(["solve", str(poly), "--graph", tangle2_file, "-o", str(by_poly)]) == 0
         assert by_graph.read_bytes() == by_poly.read_bytes()
 
+    def test_target_zero_stops_a_non_dyadic_run(self, tmp_path):
+        # With penalties 0.3 and 0.7 the optimal walks' energies sum to
+        # 1.94e-15 to 3.0e-15, not 0; every other energy is at least 0.3.
+        graph, out = tmp_path / "g.json", tmp_path / "run.json"
+        main(["generate", "--seed", "2", "--nodes", "2", "--max-weight", "1", "-o", str(graph)])
+        penalties = ["--kind", "qubo", "--one-hot-penalty", "0.3", "--edge-penalty", "0.7"]
+        assert main(["solve", str(graph), *penalties, "--target", "0", "-o", str(out)]) == 0
+        record = read_json(out)
+        assert record["optimum_iteration"] == 1
+        assert record["termination"] == "optimum_sampled"
+        assert record["best_energy"] == 1.942890293094024e-15  # stored as sampled
+        assert record["decoded_walk"]["walk_cost"] == 0
+
     def test_qubo_kind_reaches_zero(self, tangle2_file, tmp_path):
         out = tmp_path / "run.json"
         code = main(
@@ -401,6 +414,20 @@ class TestPipeline:
         assert saved["target"] == 0.0
         for flag, value in zip(flags[::2], flags[1::2]):
             assert str(saved[flag[2:].replace("-", "_")]) == value
+
+    @pytest.mark.parametrize(
+        "argv", [["solve", "g.json"], ["sweep"], ["compile"], ["generate"], ["encode", "g.json"]]
+    )
+    def test_subcommand_defaults_are_the_config_defaults(self, argv):
+        args = vars(build_parser().parse_args(argv))
+        defaults = vars(ExperimentConfig())
+        shared = set(args) & set(defaults) - {"target", "graph", "output"}
+        assert shared, argv
+        for name in shared:
+            expected = str(defaults[name]) if (argv[0], name) == ("sweep", "p") else defaults[name]
+            assert args[name] == expected, name
+        if argv[0] == "solve":
+            assert args["target"] is None
 
     def test_flags_are_the_config_fields(self):
         # Each pipeline flag must be an ExperimentConfig field and each field

@@ -19,7 +19,7 @@ from tanglewalk import (
 )
 from tanglewalk.graphs import default_walk_length
 
-from helpers import all_assignments, brute_force_energies, qubo_terms_direct
+from helpers import all_assignments, brute_force_energies, evaluate, qubo_terms_direct
 
 
 def one_hot_assignment(layout: QuboLayout, walk) -> list[int]:
@@ -41,16 +41,16 @@ class TestQuboEncoding:
     def test_valid_walk_energy_equals_walk_cost(self, tangle2):
         layout = QuboLayout(2, 2)
         poly = encode_qubo(tangle2, 2)
-        assert poly.evaluate(one_hot_assignment(layout, (0, 2))) == 0
-        assert poly.evaluate(one_hot_assignment(layout, (3, 1))) == 0
+        assert evaluate(poly, one_hot_assignment(layout, (0, 2))) == 0
+        assert evaluate(poly, one_hot_assignment(layout, (3, 1))) == 0
 
     def test_all_zeros_penalty(self, tangle2):
         poly = encode_qubo(tangle2, 2)
         # one-hot: 10 per step, edge bracket: 5, frequency: 1 + 1
-        assert poly.evaluate([0] * 8) == 27
+        assert evaluate(poly, [0] * 8) == 27
 
     def test_degree_at_most_two(self, tangle2):
-        assert encode_qubo(tangle2, 3).degree <= 2
+        assert max(map(len, encode_qubo(tangle2, 3).terms)) <= 2
 
     def test_exhaustive_minimum_matches_oracle(self, tangle2):
         poly = encode_qubo(tangle2, 2)
@@ -70,7 +70,7 @@ class TestQuboEncoding:
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.integers(0, 2, poly.num_vars)
-            assert poly.evaluate(x) == qubo_terms_direct(tangle2, layout, 10, 5, x)
+            assert evaluate(poly, x) == qubo_terms_direct(tangle2, layout, 10, 5, x)
 
     def test_walk_energy_on_all_valid_walks(self, tangle2):
         # every edge-valid walk, optimal or not: penalties vanish exactly
@@ -82,7 +82,7 @@ class TestQuboEncoding:
         for walk in itertools.product(range(4), repeat=3):
             if not all(tangle2.has_edge(a, b) for a, b in zip(walk, walk[1:])):
                 continue
-            assert poly.evaluate(one_hot_assignment(layout, walk)) == walk_cost(
+            assert evaluate(poly, one_hot_assignment(layout, walk)) == walk_cost(
                 tangle2, walk
             )
             checked += 1
@@ -118,7 +118,7 @@ class TestIndicator:
         layout = HuboLayout(1, 3)
         ind = indicator_polynomial(5, 1, layout)
         for idx, x in enumerate(all_assignments(3)):
-            assert ind.evaluate(x) == (1 if idx == 5 else 0)
+            assert evaluate(ind, x) == (1 if idx == 5 else 0)
 
     def test_out_of_range_target(self):
         with pytest.raises(DomainError):
@@ -129,12 +129,12 @@ class TestHuboEncoding:
     def test_valid_walk_energy(self, tangle2):
         layout = HuboLayout.for_graph(tangle2, 2)
         poly = encode_hubo(tangle2, 2)
-        assert poly.evaluate(hubo_assignment(layout, (0, 2))) == 0
+        assert evaluate(poly, hubo_assignment(layout, (0, 2))) == 0
 
     def test_all_zero_steps(self, tangle2):
         poly = encode_hubo(tangle2, 2)
         # edge bracket 10, frequency (2-1)^2 + (0-1)^2
-        assert poly.evaluate([0, 0, 0, 0]) == 12
+        assert evaluate(poly, [0, 0, 0, 0]) == 12
 
     def test_exhaustive_minimum_and_minimisers(self, tangle2):
         poly = encode_hubo(tangle2, 2)
@@ -159,7 +159,7 @@ class TestHuboEncoding:
         for walk in itertools.product(range(4), repeat=3):
             if not all(tangle2.has_edge(a, b) for a, b in zip(walk, walk[1:])):
                 continue
-            assert poly.evaluate(hubo_assignment(layout, walk)) == walk_cost(
+            assert evaluate(poly, hubo_assignment(layout, walk)) == walk_cost(
                 tangle2, walk
             )
             checked += 1
@@ -171,7 +171,7 @@ class TestHuboEncoding:
 
     def test_degree_bound(self, tangle2):
         layout = HuboLayout.for_graph(tangle2, 2)
-        assert encode_hubo(tangle2, 2).degree <= 2 * layout.bits_per_step
+        assert max(map(len, encode_hubo(tangle2, 2).terms)) <= 2 * layout.bits_per_step
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from tanglewalk import (
     BinaryPolynomial,
     DomainError,
+    HuboLayout,
     IsingPolynomial,
     RunConfig,
     SizeCapError,
@@ -26,17 +28,25 @@ from tanglewalk import (
 from tanglewalk.circuits import _is_global_phase
 from tanglewalk.ising import MEMORY_BUDGET, _check_memory
 
-from helpers import all_assignments, dense_cost_matrix, ising_energy, parity_energies
+import test_acceptance as acceptance
+from helpers import (
+    all_assignments,
+    dense_cost_matrix,
+    evaluate,
+    ising_energy,
+    ising_terms,
+    old_to_ising,
+    parity_energies,
+)
 
 
 def random_ising(data, coeffs):
     """IsingPolynomial on at most 8 qubits with coefficients drawn from ``coeffs``."""
     n = data.draw(st.integers(0, 8))
     masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=24)) if n else []
-    h = IsingPolynomial(n, constant=data.draw(coeffs))
-    for mask in masks:
-        h.add_term([q for q in range(n) if mask >> q & 1], data.draw(coeffs))
-    return h
+    constant = data.draw(coeffs)
+    pairs = [([q for q in range(n) if mask >> q & 1], data.draw(coeffs)) for mask in masks]
+    return IsingPolynomial(n, ising_terms(pairs), constant)
 
 
 def test_single_variable_substitution():
@@ -62,28 +72,116 @@ def test_to_ising_is_independent_of_term_order(seed):
     assert to_ising(p) == to_ising(BinaryPolynomial.from_dict(p.to_dict()))
 
 
-def test_repeated_qubits_square_to_one():
-    # Z_q * Z_q = 1: pairs of a repeated qubit cancel, an odd count leaves Z_q.
-    assert IsingPolynomial(3, {(0, 1, 0): 1.0}).terms == {(1,): 1.0}
-    assert IsingPolynomial(3, {(2, 2, 2, 0): 2.0}).terms == {(0, 2): 2.0}
-    h = IsingPolynomial(2, {(0, 0): 1.0})
-    assert h.terms == {} and h.constant == 1.0
-    assert diagonal(h).tolist() == [1, 1, 1, 1]
+def polynomial_digest() -> str:
+    """SHA-256 over the encoders' and ``to_ising``'s output, term by term in dict order.
+
+    Covers the criterion-06 family and generator seeds 0-20 at 2 and 3
+    nodes, each encoded both ways at the default and at non-dyadic penalties.
+    """
+    digest = hashlib.sha256()
+
+    def add(terms):
+        for mono, c in terms.items():
+            digest.update(f"{mono!r} {type(c).__name__} {float(c).hex()};".encode())
+
+    instances = acceptance.planted_instances(
+        50,
+        lambda g, T: 4 <= HuboLayout.for_graph(g, T).num_vars <= 8,
+        [(2, 3, 0.25), (3, 1, 0.25), (4, 1, 0.2), (2, 4, 0.3), (3, 2, 0.3)],
+    )
+    instances += [
+        (g, default_walk_length(g))
+        for nodes in (2, 3)
+        for g in (generate_tangle(seed, nodes) for seed in range(21))
+    ]
+    for g, T in instances:
+        for (one_hot, edge), hubo in (((10, 5), 10), ((0.3, 0.7), 0.3)):
+            for poly in (encode_qubo(g, T, one_hot, edge), encode_hubo(g, T, hubo)):
+                add(poly.terms)
+                h = to_ising(poly)
+                add(h.terms)
+                digest.update(f"{h.num_qubits} {h.constant.hex()}|".encode())
+    return digest.hexdigest()
+
+
+def test_encodings_and_ising_match_pinned_digest():
+    # Pinned before the term store was shared between the two polynomial
+    # types: keys, key order, coefficient types and bits all unchanged.
+    assert polynomial_digest() == (
+        "15da2c3739fc5ef6a2e4f905415ef902582bfa53b982c8ead4c64937986a317e"
+    )
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_to_ising_matches_frozen_copy(data):
+    # Float coefficients make every sum order-sensitive, and dyadic ones
+    # cancel exactly: same keys, key order, types and bits as the old store.
+    n = data.draw(st.integers(1, 7))
+    coeffs = (
+        st.floats(-100, 100, allow_nan=False)
+        | st.integers(-9, 9).map(lambda k: k / 4)
+        | st.integers(-9, 9)
+    )
+    monos = st.frozensets(st.integers(0, n - 1), max_size=n).map(lambda s: tuple(sorted(s)))
+    poly = BinaryPolynomial(n, data.draw(st.dictionaries(monos, coeffs, max_size=16)))
+    new, old = to_ising(poly), old_to_ising(poly)
+
+    def bits(terms):
+        return [(key, type(c).__name__, float(c).hex()) for key, c in terms.items()]
+
+    assert new.num_qubits == old.num_qubits
+    assert bits(new.terms) == bits(old.terms)
+    assert new.constant.hex() == old.constant.hex()
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(0, 1, 0): 1.0},  # Z_q * Z_q = 1 is not applied: keys come canonical
+        {(0, 0): 1.0},
+        {(1, 0): 1.0},
+        {(): 1.0},  # the constant has its own field
+        {(0, 3): 1.0},
+        {(-1,): 1.0},
+        {(0.0,): 1.0},
+        {frozenset({0}): 1.0},
+        {(0,): 0.0},  # zero coefficients are never stored
+        {(0, 1): 0},
+    ],
+    ids=[
+        "repeated-qubit", "repeated-pair", "unsorted", "empty", "out-of-range", "negative",
+        "float-qubit", "not-a-tuple", "zero-float", "zero-int",
+    ],
+)
+def test_constructor_rejects_non_canonical_terms(terms):
     with pytest.raises(DomainError):
-        IsingPolynomial(2, {(5, 5): 1.0})
+        IsingPolynomial(3, terms)
+
+
+def test_constructor_rejects_negative_width():
+    with pytest.raises(DomainError):
+        IsingPolynomial(-1)
+
+
+def test_ising_polynomial_is_frozen():
+    h = IsingPolynomial(2, {(0, 1): 1.0}, 0.5)
+    with pytest.raises(AttributeError):
+        h.constant = 1.0
+    assert h == IsingPolynomial(2, {(0, 1): 1.0}, 0.5) != IsingPolynomial(2, {(0, 1): 1.0})
 
 
 def test_hubo_equivalence_is_exact(tangle2):
     poly = encode_hubo(tangle2, 2)
     h = to_ising(poly)
     for x in all_assignments(poly.num_vars):
-        assert ising_energy(h, x) == poly.evaluate(x)
+        assert ising_energy(h, x) == evaluate(poly, x)
 
 
 def test_minimiser_set_preserved(tangle2):
     poly = encode_hubo(tangle2, 2)
     h = to_ising(poly)
-    binary = np.array([poly.evaluate(x) for x in all_assignments(poly.num_vars)])
+    binary = np.array([evaluate(poly, x) for x in all_assignments(poly.num_vars)])
     spectral = diagonal(h)
     assert np.array_equal(
         np.flatnonzero(binary == binary.min()), np.flatnonzero(spectral == spectral.min())
@@ -106,7 +204,7 @@ def test_random_polynomials_agree(data):
     poly = BinaryPolynomial(n, terms)
     h = to_ising(poly)
     x = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
-    assert ising_energy(h, x) == poly.evaluate(x)
+    assert ising_energy(h, x) == evaluate(poly, x)
 
 
 class TestIsingEnergy:
@@ -193,12 +291,12 @@ def memory_instance(n, energies):
     """Degree-1-3 Z terms: dyadic ones give a few hundred distinct energies,
     Gaussian ones make every energy distinct (the widest level index)."""
     rng = np.random.default_rng(n)
-    h = IsingPolynomial(n, constant=1.0)
+    pairs = []
     for _ in range(3 * n):
         qubits = rng.choice(n, int(rng.integers(1, 4)), replace=False).tolist()
         coeff = rng.integers(-8, 9) / 4 if energies == "dyadic" else rng.normal()
-        h.add_term(qubits, float(coeff))
-    return h
+        pairs.append((qubits, float(coeff)))
+    return IsingPolynomial(n, ising_terms(pairs), constant=1.0)
 
 
 class TestMemoryRule:

@@ -32,7 +32,7 @@ from tanglewalk import (
 )
 from tanglewalk import qaoa
 
-from helpers import dense_qaoa_distribution, old_simulate, p_opt, run_record_to_dict
+from helpers import dense_qaoa_distribution, ising_terms, old_simulate, p_opt, run_record_to_dict
 
 
 def over_budget(call):
@@ -186,14 +186,14 @@ def wide_instance(kind):
 def random_ising(n, seed, odd_terms):
     """Dyadic Z terms of degree 1-3; without odd-degree terms E(x) = E(~x)."""
     rng = np.random.default_rng(seed)
-    h = IsingPolynomial(n)
+    pairs = []
     for degree in (1, 2, 3):
         if degree > n or (degree % 2 and not odd_terms):
             continue
         for _ in range(2 * n):
             qubits = rng.choice(n, degree, replace=False).tolist()
-            h.add_term(qubits, int(rng.integers(-8, 9)) / 4)
-    return h
+            pairs.append((qubits, int(rng.integers(-8, 9)) / 4))
+    return IsingPolynomial(n, ising_terms(pairs))
 
 
 def oracle_prior(kind, n):

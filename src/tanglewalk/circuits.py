@@ -28,6 +28,8 @@ from .ising import _check_memory, _walsh_hadamard
 ROTATION_GATES = {"RY", "RZ", "RZZ", "MULTIRZ"}
 PLAIN_GATES = {"CX", "SWAP"}
 DIAGONAL_GATES = {"RZ", "RZZ", "MULTIRZ"}
+KNOWN_GATES = ROTATION_GATES | PLAIN_GATES
+ARITY = {"RY": 1, "RZ": 1, "CX": 2, "RZZ": 2, "SWAP": 2}  # MULTIRZ takes any number
 
 
 @dataclass(frozen=True)
@@ -44,11 +46,10 @@ class Gate:
             raise DomainError(f"{name} requires an angle")
         if name in PLAIN_GATES and self.theta is not None:
             raise DomainError(f"{name} takes no angle")
-        if name not in ROTATION_GATES | PLAIN_GATES:
+        if name not in KNOWN_GATES:
             raise DomainError(f"unknown gate {name!r}")
-        expected = {"RY": 1, "RZ": 1, "CX": 2, "RZZ": 2, "SWAP": 2}
-        if name in expected and len(self.qubits) != expected[name]:
-            raise DomainError(f"{name} acts on {expected[name]} qubit(s)")
+        if name in ARITY and len(self.qubits) != ARITY[name]:
+            raise DomainError(f"{name} acts on {ARITY[name]} qubit(s)")
         if name == "MULTIRZ" and len(self.qubits) < 1:
             raise DomainError("MULTIRZ needs at least one qubit")
         if len(set(self.qubits)) != len(self.qubits):

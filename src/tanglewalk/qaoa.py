@@ -391,6 +391,12 @@ def _bits_of(index: int, n: int) -> tuple[int, ...]:
     return tuple((index >> q) & 1 for q in range(n))
 
 
+def _rounding_slack(h: IsingPolynomial) -> float:
+    """Bound on ``diagonal``'s rounding, n * eps * (|constant| + sum |coeff|)."""
+    scale = abs(h.constant) + sum(abs(c) for c in h.terms.values())
+    return h.num_qubits * np.finfo(float).eps * scale
+
+
 def iterative_qaoa(
     h: IsingPolynomial,
     kind: str,
@@ -418,8 +424,7 @@ def iterative_qaoa(
     schedule = lr_schedule(config.p, config.dbeta, config.dgamma)
     energies = diagonal(h)
     levels = _levels(energies)  # one phase table for every iteration
-    scale = abs(h.constant) + sum(abs(c) for c in h.terms.values())
-    slack = h.num_qubits * np.finfo(float).eps * scale
+    slack = _rounding_slack(h)
     seeds = np.random.SeedSequence(config.seed).spawn(config.iterations)
 
     record = RunRecord(kind=kind, config=config)
@@ -470,8 +475,10 @@ def sweep(
 ) -> list[tuple[int, float, float, float]]:
     """Evaluate p_opt over a (dbeta, dgamma) grid for each circuit depth.
 
-    The optimal set is the argmin of the cost diagonal.  Rows come back
-    sorted by (p, dbeta, dgamma) regardless of input order.  Each value
+    The optimal set is every state within ``diagonal``'s rounding bound of
+    the minimum energy (the slack ``iterative_qaoa`` allows its target),
+    so optima that non-dyadic coefficients round apart all count.  Rows
+    come back sorted by (p, dbeta, dgamma) regardless of input order.  Each value
     equals ``p_opt(simulate(...), optimal)`` of ``tests/helpers.py``
     exactly, but the last mixer computes only the optimal amplitudes
     (``_light_cone``).
@@ -484,7 +491,7 @@ def sweep(
         for dbeta, dgamma in sorted(set(grid))
     ]
     energies = diagonal(h)
-    optimal = set(np.flatnonzero(energies == energies.min()).tolist())
+    optimal = set(np.flatnonzero(energies <= energies.min() + _rounding_slack(h)).tolist())
     targets = sorted(optimal)
     position = {t: j for j, t in enumerate(targets)}
     order = [position[i] for i in set(optimal)]  # tests/helpers.py p_opt's summation order

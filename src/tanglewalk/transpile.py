@@ -20,6 +20,7 @@ CX or SWAP in the input is a ``DomainError``.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -185,42 +186,56 @@ def _initial_layout(circ: CircuitIR, topo: Topology, seed: int | None) -> dict[i
 # Parity-network compilation
 
 
-def _steiner_tree(topo: Topology, terminals: frozenset[int]) -> dict[int, list[int]]:
-    """Deterministic approximate Steiner tree as an adjacency dict."""
+def _hop_table(topo: Topology) -> list[list[int]]:
+    """All-pairs hop counts: ``table[a][b]`` is the distance from a to b."""
+    n = topo.num_qubits
+    return [[row[q] for q in range(n)] for row in map(topo.distances_from, range(n))]
+
+
+def _steiner_tree(
+    topo: Topology, hops: list[list[int]], terminals: frozenset[int]
+) -> dict[int, list[int]]:
+    """Deterministic approximate Steiner tree as an adjacency dict.
+
+    Takahashi & Matsuyama's heuristic (Math. Japonica 24, 1980): starting
+    from the smallest terminal, repeatedly join the missing terminal
+    nearest the tree, the smaller one on equal distances, along
+    ``Topology.shortest_path``.  Each missing terminal's distance to the
+    tree is kept and lowered through ``hops`` from the nodes each path
+    adds, so a step searches for one path only.
+    """
     terms = sorted(terminals)
     tree_nodes = {terms[0]}
     adj: dict[int, list[int]] = {terms[0]: []}
-    for _ in terms[1:]:
-        missing = [t for t in terms if t not in tree_nodes]
-        if not missing:
-            break
-        best_path = None
-        for t in missing:
-            path = topo.shortest_path(t, tree_nodes)
-            if best_path is None or (len(path), path) < (len(best_path), best_path):
-                best_path = path
-        for a, b in zip(best_path, best_path[1:]):
-            adj.setdefault(a, [])
-            adj.setdefault(b, [])
-            if b not in adj[a]:
-                adj[a].append(b)
-                adj[b].append(a)
-            tree_nodes.add(a)
-            tree_nodes.add(b)
+    missing = {t: hops[t][terms[0]] for t in terms[1:]}
+    while missing:
+        _, t = min((d, t) for t, d in missing.items())
+        path = topo.shortest_path(t, tree_nodes)
+        # Only the last node was in the tree, so every edge is new.
+        for a, b in zip(path, path[1:]):
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        added = path[:-1]
+        tree_nodes.update(added)
+        for node in added:
+            missing.pop(node, None)
+        for other in missing:
+            row = hops[other]
+            missing[other] = min(missing[other], min(row[node] for node in added))
     return {node: sorted(nbrs) for node, nbrs in adj.items()}
 
 
 def _collect_gates(
     adj: dict[int, list[int]], root: int, members: frozenset[int], banned: int
-) -> list[Gate]:
-    """CX network folding every member parity of the subtree into ``root``.
+) -> list[tuple[int, int]]:
+    """CX network, as (control, target) pairs, folding every member parity into ``root``.
 
     Member children contribute one CX toward the parent; conduit children
     are sandwiched (CX before and after their own collection) so their
     resident value cancels out of the accumulated parity.  The subtree
     excludes ``banned``'s side; its leaves are all terminals, so members.
     """
-    gates: list[Gate] = []
+    gates: list[tuple[int, int]] = []
 
     def rec(node: int, parent: int):
         for child in adj[node]:
@@ -228,138 +243,180 @@ def _collect_gates(
                 continue
             if child in members:
                 rec(child, node)
-                gates.append(Gate("CX", (child, node)))
+                gates.append((child, node))
             else:
-                gates.append(Gate("CX", (child, node)))
+                gates.append((child, node))
                 rec(child, node)
-                gates.append(Gate("CX", (child, node)))
+                gates.append((child, node))
 
     rec(root, banned)
     return gates
 
 
-@dataclass(frozen=True)
-class _RotationPlan:
-    network: tuple[Gate, ...]  # parity-collection CXs (mirrored after the rotation)
-    rotation: Gate
-
-    def emit(self) -> list[Gate]:
-        return list(self.network) + [self.rotation] + list(reversed(self.network))
-
-
-def _plan_rotation(topo: Topology, support: frozenset[int], theta: float) -> _RotationPlan:
+def _plan_rotation(
+    topo: Topology, hops: list[list[int]], support: frozenset[int], theta: float
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, int, float]]:
     """Collect the parity of a 2+ qubit support onto one Steiner-tree edge for an RZZ.
 
+    Returns the parity-collection network as CX (control, target) pairs,
+    mirrored after the rotation when emitted, and the RZZ as (u, v, theta).
     For a tree of V nodes, c of them conduits (outside the support), every
     edge touching the support costs 2(V-2+c)+1 two-qubit gates and every
     single-qubit RZ root 2(V-1+c), so any such edge is cheapest; the
     largest (u, v), u < v, is taken.
     """
-    adj = _steiner_tree(topo, support)
+    adj = _steiner_tree(topo, hops, support)
     u, v = max((a, b) for a in adj for b in adj[a] if a < b and (a in support or b in support))
-    network: list[Gate] = []
+    network: list[tuple[int, int]] = []
     if u not in support:
-        network.append(Gate("CX", (u, v)))
+        network.append((u, v))
     elif v not in support:
-        network.append(Gate("CX", (v, u)))
+        network.append((v, u))
     network += _collect_gates(adj, u, support, v)
     network += _collect_gates(adj, v, support, u)
-    return _RotationPlan(tuple(network), Gate("RZZ", (u, v), theta))
+    return tuple(network), (u, v, theta)
 
 
-def _order_plans(plans: list[_RotationPlan]) -> list[int]:
+def _shared_prefix(a: Sequence, b: Sequence) -> int:
+    count = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        count += 1
+    return count
+
+
+def _order_plans(networks: list[tuple[tuple[int, int], ...]]) -> list[int]:
     """Order rotations to maximise shared network prefixes between neighbours.
 
-    Each network is a row of gate ids (padded, with a validity mask), and a
-    plan's prefix overlaps with all plans are computed only when it becomes
-    a chain end, so memory is O(m*L) for m networks of at most L gates.
+    Up to ``ORDER_CAP`` networks, every permutation is scored.  Beyond it a
+    chain grows greedily from network 0 at whichever end gains the longest
+    shared prefix, the smaller index on ties and the tail when both ends
+    tie.  The networks form a trie, each node listing (in index order) the
+    networks that pass through it, so a chain end's best partner is the
+    first unplaced network at the deepest node on the end's own path that
+    still has one; a pointer per node skips placed networks.
     """
-    m = len(plans)
+    m = len(networks)
     if m <= 1:
         return list(range(m))
-    gate_ids: dict[Gate, int] = {}
-    # At least one column, so that column 0 exists when every network is empty.
-    ids = np.full((m, max(len(p.network) for p in plans) or 1), -1)
-    valid = np.zeros(ids.shape, dtype=bool)
-    for i, plan in enumerate(plans):
-        k = len(plan.network)
-        ids[i, :k] = [gate_ids.setdefault(g, len(gate_ids)) for g in plan.network]
-        valid[i, :k] = True
-
-    def overlap_row(i: int) -> np.ndarray:
-        row = np.zeros(m, dtype=int)
-        # Only networks opening with plan i's first gate can overlap it.
-        same = np.flatnonzero(valid[:, 0] & (ids[:, 0] == ids[i, 0]))
-        row[same] = np.cumprod((ids[same] == ids[i]) & valid[same], axis=1).sum(axis=1)
-        return row
-
     if m <= ORDER_CAP:
-        overlap = [overlap_row(i).tolist() for i in range(m)]
+        overlap = [[_shared_prefix(a, b) for b in networks] for a in networks]
         best_order, best_score = None, -1
         for perm in itertools.permutations(range(m)):
             score = sum(overlap[a][b] for a, b in zip(perm, perm[1:]))
             if score > best_score:
                 best_order, best_score = perm, score
         return list(best_order)
-    # Greedy chain growth: extend whichever end gains the most overlap.
-    # argmax picks the first maximum, i.e. the smallest index among ties.
-    remaining = np.ones(m, dtype=bool)
-    remaining[0] = False
-    chain = [0]
-    head_row = tail_row = overlap_row(0)
+
+    parent, depth, children, members = [0], [0], [{}], [[]]
+    ends = []  # the trie node at which each network ends
+    for i, network in enumerate(networks):
+        node = 0
+        members[0].append(i)
+        for gate in network:
+            child = children[node].get(gate)
+            if child is None:
+                child = children[node][gate] = len(parent)
+                parent.append(node)
+                depth.append(depth[node] + 1)
+                children.append({})
+                members.append([])
+            node = child
+            members[node].append(i)
+        ends.append(node)
+    first = [0] * len(parent)  # members[node][first[node]] is its first unplaced network
+    placed = [False] * m
+
+    def best_partner(end: int) -> tuple[int, int]:
+        """(shared prefix, index) of the unplaced network sharing most with ``end``."""
+        node = ends[end]
+        while True:
+            listed, k = members[node], first[node]
+            while k < len(listed) and placed[listed[k]]:
+                k += 1
+            first[node] = k
+            if k < len(listed):
+                return depth[node], listed[k]
+            node = parent[node]  # the root lists every network, so this ends
+
+    placed[0] = True
+    chain = collections.deque([0])
+    head = tail = best_partner(0)
     for _ in range(m - 1):
-        h = int(np.argmax(np.where(remaining, head_row, -1)))
-        t = int(np.argmax(np.where(remaining, tail_row, -1)))
-        if (head_row[h], -h) > (tail_row[t], -t):
-            chain.insert(0, h)
-            remaining[h] = False
-            head_row = overlap_row(h)
+        # A best partner stays best until it is placed, since placing others
+        # only removes candidates; once placed, it is the new end itself.
+        if placed[head[1]]:
+            head = best_partner(chain[0])
+        if placed[tail[1]]:
+            tail = best_partner(chain[-1])
+        if (head[0], -head[1]) > (tail[0], -tail[1]):
+            chain.appendleft(head[1])
+            placed[head[1]] = True
         else:
-            chain.append(t)
-            remaining[t] = False
-            tail_row = overlap_row(t)
-    return chain
+            chain.append(tail[1])
+            placed[tail[1]] = True
+    return list(chain)
 
 
-def _commutes_with_cx(gate: Gate, control: int, target: int) -> bool:
-    touched = set(gate.qubits)
-    if not touched & {control, target}:
-        return True
-    if gate.name in ("RZ", "RZZ", "MULTIRZ") and target not in touched:
-        return True  # diagonal gates commute through the control
-    if gate.name == "CX":
-        c2, t2 = gate.qubits
-        return t2 != control and c2 != target
-    return False
+def _cancel_adjacent_cx(gates: list[tuple]) -> list[tuple]:
+    """Remove CX pairs separated only by gates they commute with (to fixpoint).
 
+    ``gates`` holds CX (control, target) pairs and RZZ (u, v, theta)
+    triples.  Passes run from the front.  Each CX looks ahead for an equal
+    CX past the gates it commutes with: CXs whose control is not its
+    target and whose target is not its control, and RZZs off its target.
+    The pair is deleted and the pass backs up one gate.  Passes repeat
+    until one deletes nothing.  The list is linked through ``nxt``/``prv``
+    with node n as the sentinel at both ends, so a deletion is O(1).
+    """
+    n = len(gates)
+    first = [g[0] for g in gates]
+    second = [g[1] for g in gates]
+    is_cx = [len(g) == 2 for g in gates]
+    index = list(range(n + 1))  # both links share these int objects
+    nxt = index[1:] + index[:1]
+    prv = index[n:] + index[:n]
 
-def _cancel_adjacent_cx(gates: list[Gate]) -> list[Gate]:
-    """Remove CX pairs separated only by gates they commute with (to fixpoint)."""
-    out = list(gates)
+    def unlink(k: int):
+        nxt[prv[k]] = nxt[k]
+        prv[nxt[k]] = prv[k]
+
     changed = True
     while changed:
         changed = False
-        i = 0
-        while i < len(out):
-            g = out[i]
-            if g.name != "CX":
-                i += 1
+        i = nxt[n]
+        while i != n:
+            if not is_cx[i]:
+                i = nxt[i]
                 continue
-            control, target = g.qubits
-            cancelled = False
-            for j in range(i + 1, len(out)):
-                other = out[j]
-                if other == g:
-                    del out[j]
-                    del out[i]
-                    i = max(i - 1, 0)
-                    cancelled = True
-                    changed = True
+            control, target = first[i], second[i]
+            j = nxt[i]
+            while j != n:
+                a, b = first[j], second[j]
+                if is_cx[j]:
+                    if a == control:
+                        if b == target:
+                            break  # the inverse: cancel
+                    elif a == target or b == control:
+                        j = n
+                        break
+                elif a == target or b == target:
+                    j = n
                     break
-                if not _commutes_with_cx(other, control, target):
-                    break
-            if not cancelled:
-                i += 1
+                j = nxt[j]
+            if j == n:
+                i = nxt[i]
+                continue
+            unlink(j)
+            unlink(i)
+            i = prv[i] if prv[i] != n else nxt[n]
+            changed = True
+    out = []
+    k = nxt[n]
+    while k != n:
+        out.append(gates[k])
+        k = nxt[k]
     return out
 
 
@@ -379,21 +436,35 @@ def _verify_diagonal_run(gates: list[Gate], expected: list[tuple[int, float]], n
         raise TanglewalkError("internal: compiled rotations do not match the cost terms")
 
 
-def _compile_diagonal_run(gates: list[Gate], topo: Topology, layout: dict[int, int]) -> list[Gate]:
-    singles: list[Gate] = []
-    plans: list[_RotationPlan] = []
+def _compile_diagonal_run(
+    gates: list[Gate], topo: Topology, layout: dict[int, int], hops: list[list[int]]
+) -> list[Gate]:
+    out: list[Gate] = []  # one-qubit terms as bare RZs, then the networks
+    networks: list[tuple[tuple[int, int], ...]] = []
+    rotations: list[tuple[int, int, float]] = []
     expected: list[tuple[int, float]] = []
     for g in gates:
         phys = tuple(sorted(layout[q] for q in g.qubits))
         expected.append((sum(1 << q for q in phys), g.theta))
         if len(phys) == 1:
-            singles.append(Gate("RZ", phys, g.theta))
+            out.append(Gate("RZ", phys, g.theta))
         else:
-            plans.append(_plan_rotation(topo, frozenset(phys), g.theta))
-    emitted: list[Gate] = []
-    for idx in _order_plans(plans):
-        emitted.extend(plans[idx].emit())
-    out = singles + _cancel_adjacent_cx(emitted)
+            network, rotation = _plan_rotation(topo, hops, frozenset(phys), g.theta)
+            networks.append(network)
+            rotations.append(rotation)
+    emitted: list[tuple] = []
+    for idx in _order_plans(networks):
+        emitted += networks[idx]
+        emitted.append(rotations[idx])
+        emitted += reversed(networks[idx])
+    cx: dict[tuple[int, int], Gate] = {}  # Gates are immutable: one per distinct CX
+    for g in _cancel_adjacent_cx(emitted):
+        if len(g) == 3:
+            out.append(Gate("RZZ", g[:2], g[2]))
+        else:
+            if g not in cx:
+                cx[g] = Gate("CX", g)
+            out.append(cx[g])
     _verify_diagonal_run(out, expected, topo.num_qubits)
     return out
 
@@ -421,12 +492,13 @@ def compile_parity(
         raise DomainError("layout maps two logical qubits to one physical qubit")
     elif any(not 0 <= p < topo.num_qubits for p in layout.values()):
         raise DomainError("layout targets a physical qubit outside the topology")
+    hops = _hop_table(topo)
     out: list[Gate] = []
     for is_ry, gates in itertools.groupby(circ.gates, key=lambda g: g.name == "RY"):
         if is_ry:
             out.extend(Gate("RY", (layout[g.qubits[0]],), g.theta) for g in gates)
         else:
-            out.extend(_compile_diagonal_run(list(gates), topo, layout))
+            out.extend(_compile_diagonal_run(list(gates), topo, layout, hops))
     return CompiledCircuit(
         CircuitIR(topo.num_qubits, out),
         initial_layout=dict(layout),
@@ -465,7 +537,7 @@ def search_layout(circ: CircuitIR, topo: Topology) -> dict[int, int]:
     supports = rotation_supports(circ)
     if not supports:
         return {q: q for q in range(n_log)}
-    dist = [topo.distances_from(p) for p in range(n_phys)]
+    dist = _hop_table(topo)
     affinity = [[0] * n_log for _ in range(n_log)]
     for sup in supports:
         for a in sup:
@@ -494,7 +566,7 @@ def search_layout(circ: CircuitIR, topo: Topology) -> dict[int, int]:
         return {q: perm[q] for q in range(n_log)}
 
     order = sorted(range(n_log), key=lambda q: (-sum(affinity[q]), q))
-    eccentricity = [max(dist[p].values()) for p in range(n_phys)]
+    eccentricity = [max(dist[p]) for p in range(n_phys)]
     centre = min(range(n_phys), key=lambda p: (eccentricity[p], p))
     assign: dict[int, int] = {order[0]: centre}
     used = {centre}

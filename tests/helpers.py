@@ -9,9 +9,11 @@ embedded logical basis state through both circuits:
 CX/SWAP/diagonal circuits, and ``dense_equivalent`` as amplitudes, one
 k-qubit gate matrix at a time, for circuits with RY.  The compiler oracles
 at the end are the original full-rescan layout search, greedy plan
-ordering and candidate-ranking parity planner, kept as the reference the
-fast paths must match; they share only the ``Gate`` and ``_RotationPlan``
-records with the package.  The simulator oracle at the very end is
+ordering, candidate-ranking parity planner and list-rescanning CX
+canceller, kept as the reference the fast paths must match; they share
+only the ``Gate`` record with the package and build their plans as
+``RotationPlan``s, which the tests compare with the compiler's
+(control, target) and (u, v, theta) tuples.  The simulator oracle at the very end is
 ``simulate`` as it was before its in-place mixer, kept as the reference
 the in-place kernels must match bit for bit.  ``p_opt`` sums the optimal
 mass of a distribution in the order ``sweep`` must reproduce, and
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -34,7 +37,6 @@ from tanglewalk.circuits import Gate
 from tanglewalk.errors import DomainError, SizeCapError
 from tanglewalk.ising import diagonal
 from tanglewalk.qaoa import _mixer_matrix
-from tanglewalk.transpile import _RotationPlan
 
 try:
     from scipy.linalg import expm
@@ -442,7 +444,13 @@ def full_rescan_search_layout(circ: CircuitIR, topo: Topology) -> dict[int, int]
     return best
 
 
-def prefix_overlap(a: _RotationPlan, b: _RotationPlan) -> int:
+@dataclass(frozen=True)
+class RotationPlan:
+    network: tuple[Gate, ...]  # parity-collection CXs (mirrored after the rotation)
+    rotation: Gate
+
+
+def prefix_overlap(a: RotationPlan, b: RotationPlan) -> int:
     count = 0
     for ga, gb in zip(a.network, b.network):
         if ga == gb:
@@ -452,7 +460,7 @@ def prefix_overlap(a: _RotationPlan, b: _RotationPlan) -> int:
     return count
 
 
-def greedy_order_plans(plans: list[_RotationPlan], order_cap: int) -> list[int]:
+def greedy_order_plans(plans: list[RotationPlan], order_cap: int) -> list[int]:
     """Order rotations to maximise shared network prefixes between neighbours."""
     m = len(plans)
     if m <= 1:
@@ -495,7 +503,7 @@ def greedy_order_plans(plans: list[_RotationPlan], order_cap: int) -> list[int]:
 # winning plan.  It builds a full CX network for every Steiner-tree edge
 # touching the support and for every support qubit as an RZ root, ranks them
 # by two-qubit cost, and keeps the first.  The copies use only ``Gate``,
-# ``_RotationPlan`` and ``Topology.neighbors``; the plan cost is computed
+# ``RotationPlan`` and ``Topology.neighbors``; the plan cost is computed
 # here, and a disconnected topology raises ``ValueError``.
 
 
@@ -588,11 +596,11 @@ def old_collect_gates(
     return gates
 
 
-def old_plan_rotation(topo: Topology, support: frozenset[int], theta: float) -> _RotationPlan:
+def old_plan_rotation(topo: Topology, support: frozenset[int], theta: float) -> RotationPlan:
     """Pick the cheapest parity-collection plan for one Z rotation."""
     if len(support) == 1:
         (q,) = support
-        return _RotationPlan((), Gate("RZ", (q,), theta))
+        return RotationPlan((), Gate("RZ", (q,), theta))
     adj = old_steiner_tree(topo, support)
     candidates: list = []
 
@@ -609,18 +617,65 @@ def old_plan_rotation(topo: Topology, support: frozenset[int], theta: float) -> 
                 network.append(Gate("CX", (conduit, member)))
             network += old_collect_gates(adj, u, support, banned=v)
             network += old_collect_gates(adj, v, support, banned=u)
-            plan = _RotationPlan(tuple(network), Gate("RZZ", (u, v), theta))
+            plan = RotationPlan(tuple(network), Gate("RZZ", (u, v), theta))
             rank = (_old_two_qubit_cost(plan), 0, (-u, -v))
             candidates.append((rank, plan))
 
     for root in sorted(support):
         network = old_collect_gates(adj, root, support)
-        plan = _RotationPlan(tuple(network), Gate("RZ", (root,), theta))
+        plan = RotationPlan(tuple(network), Gate("RZ", (root,), theta))
         rank = (_old_two_qubit_cost(plan), 1, (-root,))
         candidates.append((rank, plan))
 
     candidates.sort(key=lambda item: item[0])
     return candidates[0][1]
+
+
+# ---------------------------------------------------------------------------
+# Canceller oracle: ``_cancel_adjacent_cx`` as it was on ``Gate`` lists,
+# deleting from a Python list and rescanning it to the fixpoint.
+
+
+def old_commutes_with_cx(gate: Gate, control: int, target: int) -> bool:
+    touched = set(gate.qubits)
+    if not touched & {control, target}:
+        return True
+    if gate.name in ("RZ", "RZZ", "MULTIRZ") and target not in touched:
+        return True  # diagonal gates commute through the control
+    if gate.name == "CX":
+        c2, t2 = gate.qubits
+        return t2 != control and c2 != target
+    return False
+
+
+def old_cancel_adjacent_cx(gates: list[Gate]) -> list[Gate]:
+    """Remove CX pairs separated only by gates they commute with (to fixpoint)."""
+    out = list(gates)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(out):
+            g = out[i]
+            if g.name != "CX":
+                i += 1
+                continue
+            control, target = g.qubits
+            cancelled = False
+            for j in range(i + 1, len(out)):
+                other = out[j]
+                if other == g:
+                    del out[j]
+                    del out[i]
+                    i = max(i - 1, 0)
+                    cancelled = True
+                    changed = True
+                    break
+                if not old_commutes_with_cx(other, control, target):
+                    break
+            if not cancelled:
+                i += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

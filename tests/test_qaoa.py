@@ -17,6 +17,7 @@ from tanglewalk import (
     SizeCapError,
     beta_t,
     cvar_filter,
+    default_walk_length,
     diagonal,
     encode_hubo,
     encode_qubo,
@@ -32,7 +33,14 @@ from tanglewalk import (
 )
 from tanglewalk import qaoa
 
-from helpers import dense_qaoa_distribution, ising_terms, old_simulate, p_opt, run_record_to_dict
+from helpers import (
+    brute_force_energies,
+    dense_qaoa_distribution,
+    ising_terms,
+    old_simulate,
+    p_opt,
+    run_record_to_dict,
+)
 
 
 def over_budget(call):
@@ -523,6 +531,26 @@ class TestSweep:
         coarse_rows = set(sweep(h, prior, coarse, [1]))
         fine_rows = set(sweep(h, prior, fine, [1]))
         assert coarse_rows <= fine_rows
+
+    def test_non_dyadic_optima_all_count(self):
+        # With penalties 0.3 and 0.7 the six optimal walks' energies round
+        # to six values between 1.9e-15 and 3.0e-15; the next energy is 0.3.
+        g = generate_tangle(2, 2, 1, 0.25)
+        poly = encode_qubo(g, default_walk_length(g), 0.3, 0.7)
+        h = to_ising(poly)
+        binary = brute_force_energies(poly)
+        optima = sorted(np.flatnonzero(binary < 0.15).tolist())
+        assert len(optima) == 6
+        energies = diagonal(h)
+        assert np.count_nonzero(energies == energies.min()) == 1
+        prior = np.full(h.num_qubits, 0.4)
+        grid = [(0.6, 0.2), (0.9, 0.35)]
+        expected = [
+            (p, db, dg, p_opt(simulate(h, prior, lr_schedule(p, db, dg)), optima))
+            for p in (1, 2)
+            for db, dg in grid
+        ]
+        assert sweep(h, prior, grid, [1, 2]) == expected
 
 
 class TestSweepLightCone:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tanglewalk import (
     CircuitIR,
@@ -25,9 +27,10 @@ from tanglewalk import transpile
 from tanglewalk.transpile import (
     EXHAUSTIVE_LAYOUT_CAP,
     ORDER_CAP,
+    _cancel_adjacent_cx,
+    _hop_table,
     _order_plans,
     _plan_rotation,
-    _RotationPlan,
     _steiner_tree,
     cost_layer_gates,
     search_layout,
@@ -35,11 +38,14 @@ from tanglewalk.transpile import (
 
 import test_acceptance as acceptance
 from helpers import (
+    RotationPlan,
     dense_circuit_unitary,
     dense_cost_matrix,
     full_rescan_search_layout,
     greedy_order_plans,
+    old_cancel_adjacent_cx,
     old_plan_rotation,
+    old_steiner_tree,
 )
 
 
@@ -124,8 +130,17 @@ def test_compilers_reject_cx_and_swap(compiler, gate):
         compiler(circ, build_topology("linear", 3))
 
 
+def digest_compiled(digest, compiled):
+    """Feed every compiled gate (name, qubits, exact angle) and both layouts to ``digest``."""
+    for g in compiled.circuit.gates:
+        theta = "-" if g.theta is None else g.theta.hex()
+        digest.update(f"{g.name} {g.qubits} {theta};".encode())
+    for layout in (compiled.initial_layout, compiled.final_layout):
+        digest.update(f"{sorted(layout.items())}|".encode())
+
+
 def compile_digest(layers) -> str:
-    """SHA-256 over every compiled gate (name, qubits, exact angle) and both layouts."""
+    """SHA-256 of both compilers' output for each layer on three topologies."""
     digest = hashlib.sha256()
     for layer in layers:
         n = layer.num_qubits
@@ -135,12 +150,7 @@ def compile_digest(layers) -> str:
             build_topology("heavy-hex", 1),
         ):
             for compiler in (compile_parity, compile_naive):
-                compiled = compiler(layer, topo)
-                for g in compiled.circuit.gates:
-                    theta = "-" if g.theta is None else g.theta.hex()
-                    digest.update(f"{g.name} {g.qubits} {theta};".encode())
-                for layout in (compiled.initial_layout, compiled.final_layout):
-                    digest.update(f"{sorted(layout.items())}|".encode())
+                digest_compiled(digest, compiler(layer, topo))
     return digest.hexdigest()
 
 
@@ -149,6 +159,36 @@ def test_criterion_06_family_compiles_to_pinned_digest():
     # compiler that changes one gate, angle bit or layout fails here.
     assert compile_digest(acceptance.hubo_layers(50, 4, 8)) == (
         "35f602e21f40336e8a8b4f8c624e9c594983b467dbfe4fb2efa0e6b81ee610a4"
+    )
+
+
+def wide_layer(*tangle_args) -> CircuitIR:
+    g = generate_tangle(*tangle_args)
+    h = to_ising(encode_hubo(g, default_walk_length(g)))
+    return CircuitIR(h.num_qubits, cost_layer_gates(h, 0.3))
+
+
+# (generate_tangle arguments, width) of compile-wide's layer kinds.
+WIDE_LAYERS = [((2, 3, 2, 0.25), 18), ((0, 4, 2, 0.2), 21), ((8, 4, 2, 0.2), 24)]
+
+
+def test_wide_layers_compile_to_pinned_digest():
+    # compile_parity with its own layout search on the compile-wide layers
+    # and on a 64-qubit layer of 8466 rotations on heavy-hex:7, pinned so
+    # that the planner, ordering and canceller keep every gate and angle bit.
+    digest = hashlib.sha256()
+    cases = [
+        (tangle_args, width, topo_args)
+        for tangle_args, width in WIDE_LAYERS
+        for topo_args in (("heavy-hex", 2), ("grid", (5, 5)))
+    ]
+    cases.append(((1, 7, 3, 0.2), 64, ("heavy-hex", 7)))
+    for tangle_args, width, topo_args in cases:
+        layer = wide_layer(*tangle_args)
+        assert layer.num_qubits == width
+        digest_compiled(digest, compile_parity(layer, build_topology(*topo_args)))
+    assert digest.hexdigest() == (
+        "1007ac867a42fbfe95b4df8c358d80ac820c451648d311500975ee1b7de48178"
     )
 
 
@@ -406,16 +446,11 @@ class TestLayoutSearchMatchesOracle:
         for layer in acceptance.hubo_layers(20, 8, 16):
             assert_layout_matches_oracle(layer, acceptance.grid_for(layer.num_qubits))
 
-    @pytest.mark.parametrize(
-        "tangle_args, width",
-        [((2, 3, 2, 0.25), 18), ((0, 4, 2, 0.2), 21), ((8, 4, 2, 0.2), 24)],
-    )
+    @pytest.mark.parametrize("tangle_args, width", WIDE_LAYERS)
     @pytest.mark.parametrize("topo_args", [("heavy-hex", 2), ("grid", (5, 5))])
     def test_wide_layers(self, tangle_args, width, topo_args):
-        g = generate_tangle(*tangle_args)
-        h = to_ising(encode_hubo(g, default_walk_length(g)))
-        assert h.num_qubits == width
-        layer = CircuitIR(width, cost_layer_gates(h, 0.3))
+        layer = wide_layer(*tangle_args)
+        assert layer.num_qubits == width
         assert_layout_matches_oracle(layer, build_topology(*topo_args))
 
 
@@ -435,34 +470,72 @@ def random_supports(topo, seed: int, count: int, smallest: int) -> list[frozense
     return [frozenset(rng.choice(topo.num_qubits, size=k, replace=False).tolist()) for k in sizes]
 
 
+def as_plan(network, rotation) -> RotationPlan:
+    """The compiler's (control, target) pairs and (u, v, theta) as the oracles' record."""
+    u, v, theta = rotation
+    return RotationPlan(tuple(Gate("CX", g) for g in network), Gate("RZZ", (u, v), theta))
+
+
+def networks_of(plans: list[RotationPlan]) -> list[tuple]:
+    """The oracles' plans as the (control, target) networks ``_order_plans`` takes."""
+    return [tuple(g.qubits for g in plan.network) for plan in plans]
+
+
 class TestPlanRotationMatchesOracle:
     @pytest.mark.parametrize("index", range(len(PLANNER_TOPOLOGIES)))
     def test_random_supports(self, index):
         # 6 x 200 supports: the single-edge plan equals the cheapest of the
         # candidate plans the oracle builds and ranks.
         topo = build_topology(*PLANNER_TOPOLOGIES[index])
+        hops = _hop_table(topo)
         for support in random_supports(topo, index, 200, 2):
             theta = float(len(support)) / 7
-            assert _plan_rotation(topo, support, theta) == old_plan_rotation(topo, support, theta)
+            plan = as_plan(*_plan_rotation(topo, hops, support, theta))
+            assert plan == old_plan_rotation(topo, support, theta)
 
     @pytest.mark.parametrize("index", range(len(PLANNER_TOPOLOGIES)))
     def test_steiner_leaves_are_terminals(self, index):
         # The planner collects every child subtree unchecked, which is sound
         # only because no subtree is free of support qubits.
         topo = build_topology(*PLANNER_TOPOLOGIES[index])
+        hops = _hop_table(topo)
         for support in random_supports(topo, 100 + index, 200, 1):
-            adj = _steiner_tree(topo, support)
+            adj = _steiner_tree(topo, hops, support)
             assert support <= set(adj)
             assert all(node in support for node, nbrs in adj.items() if len(nbrs) <= 1)
 
+    @pytest.mark.parametrize("topo_args", [("heavy-hex", 7), ("grid", (9, 9))])
+    def test_steiner_tree_on_wide_supports(self, topo_args):
+        # Supports up to 24 qubits, where many terminals tie on their
+        # distance to the tree and the smaller terminal must join first.
+        topo = build_topology(*topo_args)
+        hops = _hop_table(topo)
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            support = frozenset(
+                rng.choice(topo.num_qubits, size=int(rng.integers(2, 25)), replace=False).tolist()
+            )
+            assert _steiner_tree(topo, hops, support) == old_steiner_tree(topo, support)
 
-def random_plans(rng, m: int, alphabet: int, max_len: int) -> list:
+
+def plans_of(layer: CircuitIR, topo) -> list[tuple]:
+    """``_plan_rotation``'s plan for each multi-qubit rotation, placed by ``search_layout``."""
+    hops = _hop_table(topo)
+    layout = search_layout(layer, topo)
+    return [
+        _plan_rotation(topo, hops, frozenset(layout[q] for q in g.qubits), g.theta)
+        for g in layer.gates
+        if len(g.qubits) > 1
+    ]
+
+
+def random_plans(rng, m: int, alphabet: int, max_len: int) -> list[RotationPlan]:
     """Plans over a tiny CX alphabet, so prefix overlaps tie heavily."""
     gates = [Gate("CX", (a, a + 1)) for a in range(alphabet)]
     plans = []
     for _ in range(m):
         picks = rng.integers(0, alphabet, size=int(rng.integers(0, max_len + 1)))
-        plans.append(_RotationPlan(tuple(gates[i] for i in picks), Gate("RZ", (0,), 0.1)))
+        plans.append(RotationPlan(tuple(gates[i] for i in picks), Gate("RZ", (0,), 0.1)))
     return plans
 
 
@@ -472,7 +545,7 @@ class TestOrderPlansMatchesOracle:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(ORDER_CAP + 1, 60))
         plans = random_plans(rng, m, int(rng.integers(1, 4)), int(rng.integers(0, 6)))
-        assert _order_plans(plans) == greedy_order_plans(plans, ORDER_CAP)
+        assert _order_plans(networks_of(plans)) == greedy_order_plans(plans, ORDER_CAP)
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("order_cap", [0, ORDER_CAP])
@@ -481,23 +554,58 @@ class TestOrderPlansMatchesOracle:
         monkeypatch.setattr(transpile, "ORDER_CAP", order_cap)
         rng = np.random.default_rng(100 + seed)
         plans = random_plans(rng, int(rng.integers(0, 8)), 2, 4)
-        assert _order_plans(plans) == greedy_order_plans(plans, order_cap)
+        assert _order_plans(networks_of(plans)) == greedy_order_plans(plans, order_cap)
 
     def test_all_networks_empty(self):
         plans = random_plans(np.random.default_rng(0), 20, 1, 0)
-        assert _order_plans(plans) == list(range(20))
+        assert _order_plans(networks_of(plans)) == list(range(20))
 
     def test_plans_of_a_wide_layer(self):
-        g = generate_tangle(8, 4, 2, 0.2)
-        h = to_ising(encode_hubo(g, default_walk_length(g)))
-        layer = CircuitIR(h.num_qubits, cost_layer_gates(h, 0.3))
-        topo = build_topology("heavy-hex", 2)
-        layout = search_layout(layer, topo)
-        plans = [
-            _plan_rotation(topo, frozenset(layout[q] for q in gate.qubits), gate.theta)
-            for gate in layer.gates
-            if len(gate.qubits) > 1
-        ]
+        plans = plans_of(wide_layer(8, 4, 2, 0.2), build_topology("heavy-hex", 2))
         assert len(plans) > ORDER_CAP
-        assert _order_plans(plans) == greedy_order_plans(plans, ORDER_CAP)
+        oracle_plans = [as_plan(*plan) for plan in plans]
+        assert _order_plans([network for network, _ in plans]) == greedy_order_plans(
+            oracle_plans, ORDER_CAP
+        )
 
+
+def as_gate(g: tuple) -> Gate:
+    return Gate("CX", g) if len(g) == 2 else Gate("RZZ", g[:2], g[2])
+
+
+# CX and RZZ over 2-5 qubits, four CXs to one RZZ: few distinct gates, so
+# equal CXs meet often and one cancellation often exposes another.
+cx_or_rzz = st.integers(2, 5).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 4))
+        .filter(lambda g: g[0] != g[1])
+        .map(lambda g: (g[0], g[1], 0.5) if g[2] == 0 else (g[0], g[1])),
+        max_size=60,
+    )
+)
+
+
+class TestCancelAdjacentCxMatchesOracle:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(cx_or_rzz)
+    # Cancelling the inner pair exposes the outer one: a canceller that does
+    # not back up one gate, or that restarts from the front, pairs other CXs.
+    @example([(0, 1), (1, 2), (1, 2), (0, 1), (2, 1), (0, 1)])
+    @example([(1, 0), (1, 2), (2, 1), (2, 1), (1, 0), (1, 0)])
+    def test_random_lists(self, gates):
+        new = [as_gate(g) for g in _cancel_adjacent_cx(gates)]
+        assert new == old_cancel_adjacent_cx([as_gate(g) for g in gates])
+
+    def test_emitted_runs_of_wide_layers(self):
+        # The lists compile_parity hands the canceller on the compile-wide
+        # layers, where chains of cancellations back up across rotations.
+        for tangle_args, _ in WIDE_LAYERS:
+            plans = plans_of(wide_layer(*tangle_args), build_topology("heavy-hex", 2))
+            emitted = []
+            for idx in _order_plans([network for network, _ in plans]):
+                network, rotation = plans[idx]
+                emitted += [*network, rotation, *reversed(network)]
+            new = _cancel_adjacent_cx(emitted)
+            assert len(new) < len(emitted)
+            old = old_cancel_adjacent_cx([as_gate(g) for g in emitted])
+            assert [as_gate(g) for g in new] == old

@@ -30,6 +30,7 @@ PLAIN_GATES = {"CX", "SWAP"}
 DIAGONAL_GATES = {"RZ", "RZZ", "MULTIRZ"}
 KNOWN_GATES = ROTATION_GATES | PLAIN_GATES
 ARITY = {"RY": 1, "RZ": 1, "CX": 2, "RZZ": 2, "SWAP": 2}  # MULTIRZ takes any number
+TWO_QUBIT_GATES = {"CX", "RZZ", "SWAP"}
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,6 @@ class Gate:
             raise DomainError("MULTIRZ needs at least one qubit")
         if len(set(self.qubits)) != len(self.qubits):
             raise DomainError(f"{name} qubits must be distinct: {self.qubits}")
-
-    @property
-    def is_two_qubit(self) -> bool:
-        return self.name in ("CX", "RZZ", "SWAP")
 
 
 @dataclass
@@ -157,19 +154,16 @@ def metrics(circ) -> dict:
     count = 0
     frontier: dict[int, int] = {}
     depth = 0
-    total = 0
     for g in gates:
-        total += 1
-        if not g.is_two_qubit:
+        if g.name not in TWO_QUBIT_GATES:
             continue
         weight = 3 if g.name == "SWAP" else 1
         count += weight
-        start = max(frontier.get(q, 0) for q in g.qubits)
-        end = start + weight
-        for q in g.qubits:
-            frontier[q] = end
+        a, b = g.qubits
+        end = max(frontier.get(a, 0), frontier.get(b, 0)) + weight
+        frontier[a] = frontier[b] = end
         depth = max(depth, end)
-    return {"two_qubit_count": count, "two_qubit_depth": depth, "total_ops": total}
+    return {"two_qubit_count": count, "two_qubit_depth": depth, "total_ops": len(gates)}
 
 
 def _as_physical(obj):

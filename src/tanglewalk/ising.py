@@ -38,8 +38,11 @@ MEMORY_BUDGET = 4 << 30  # bytes any one dense path may peak at
 # half-length temporary.  Simulate holds the diagonal its caller keeps, a
 # level index of up to 4 bytes, a 16-byte state, 24 of half-length buffers
 # and at the end 8 of |amplitude|^2.  Sweep keeps no diagonal beside its
-# state; tabulating its levels (np.unique's sort and inverse) peaks near 49.
-_PEAK_BYTES_PER_STATE = {"diagonal": 12, "parity table": 12, "simulate": 60, "sweep": 52}
+# one state, which it refills for every grid point: the state, the buffers
+# and the index, plus 4 while np.take widens half the index to intp.
+# Tabulating its levels (a sorted copy of the diagonal, then
+# np.searchsorted's intp positions beside the diagonal) peaks near 18.
+_PEAK_BYTES_PER_STATE = {"diagonal": 12, "parity table": 12, "simulate": 60, "sweep": 48}
 _PEAK_BYTES_PER_LEVEL = 24
 
 

@@ -10,12 +10,16 @@ CX/SWAP/diagonal circuits, and ``dense_equivalent`` as amplitudes, one
 k-qubit gate matrix at a time, for circuits with RY.  The compiler oracles
 at the end are the original full-rescan layout search, greedy plan
 ordering, candidate-ranking parity planner and list-rescanning CX
-canceller, kept as the reference the fast paths must match; they share
+canceller, kept as the reference the fast paths must match, and
+``old_metrics``, the gate census as it was; they share
 only the ``Gate`` record with the package and build their plans as
 ``RotationPlan``s, which the tests compare with the compiler's
 (control, target) and (u, v, theta) tuples.  The simulator oracle at the very end is
 ``simulate`` as it was before its in-place mixer, kept as the reference
-the in-place kernels must match bit for bit.  ``p_opt`` sums the optimal
+the in-place kernels must match bit for bit, with the product state as a
+chain of ``np.kron`` (``kron_product_state``) and ``old_mix_layer``, the
+mixer layer as one pass over the whole state per qubit, before cache
+blocking.  ``p_opt`` sums the optimal
 mass of a distribution in the order ``sweep`` must reproduce, and
 ``run_record_to_dict`` is ``RunRecord.to_dict`` as it was written out
 field by field, the reference for the JSON of ``dataclasses.asdict``.
@@ -679,6 +683,30 @@ def old_cancel_adjacent_cx(gates: list[Gate]) -> list[Gate]:
 
 
 # ---------------------------------------------------------------------------
+# Gate census oracle: ``circuits.metrics`` as it was.
+
+
+def old_metrics(circ) -> dict:
+    """``circuits.metrics`` as it was, with the former ``Gate.is_two_qubit`` test inlined."""
+    count = 0
+    frontier: dict[int, int] = {}
+    depth = 0
+    total = 0
+    for g in circ.gates:
+        total += 1
+        if g.name not in ("CX", "RZZ", "SWAP"):
+            continue
+        weight = 3 if g.name == "SWAP" else 1
+        count += weight
+        start = max(frontier.get(q, 0) for q in g.qubits)
+        end = start + weight
+        for q in g.qubits:
+            frontier[q] = end
+        depth = max(depth, end)
+    return {"two_qubit_count": count, "two_qubit_depth": depth, "total_ops": total}
+
+
+# ---------------------------------------------------------------------------
 # Simulator oracle: ``simulate`` as it was before the in-place mixer, the
 # halved phase and the light cone.  Each mixer pass copies the low half and
 # builds fresh arrays; the phase is one full-length exponential.  The copies
@@ -691,6 +719,34 @@ def old_apply_single_qubit(state: np.ndarray, gate: np.ndarray, qubit: int, n: i
     hi = view[:, 1, :]
     view[:, 0, :] = gate[0, 0] * lo + gate[0, 1] * hi
     view[:, 1, :] = gate[1, 0] * lo + gate[1, 1] * hi
+
+
+def kron_product_state(phi) -> np.ndarray:
+    """The product of cos(phi_q/2)|0> + sin(phi_q/2)|1>, qubit 0 lowest, as a chain of np.kron."""
+    state = np.ones(1, dtype=complex)
+    for angle in phi:
+        amp = np.array([np.cos(angle / 2), np.sin(angle / 2)], dtype=complex)
+        state = np.kron(amp, state)
+    return state
+
+
+def old_mix_layer(state: np.ndarray, gates):
+    """In place: ``gates[q]`` on qubit q, one pass over the whole state per qubit.
+
+    The mixer layer as it was before cache blocking: each pass copies the
+    low half and writes both products to half-length buffers before the
+    sums go back into the state.
+    """
+    block = np.empty((3, max(state.size >> 1, 1)), dtype=complex)
+    for q, gate in enumerate(gates):
+        view = state.reshape(-1, 2, 1 << q)
+        lo_copy, t0, t1 = (buf[: state.size >> 1].reshape(-1, 1 << q) for buf in block)
+        np.copyto(lo_copy, view[:, 0, :])
+        hi = view[:, 1, :]
+        for b in (0, 1):
+            np.multiply(gate[b, 0], lo_copy, out=t0)
+            np.multiply(gate[b, 1], hi, out=t1)
+            np.add(t0, t1, out=view[:, b, :])
 
 
 def old_simulate(
@@ -717,11 +773,7 @@ def old_simulate(
         energies = diagonal(h)
 
     phi = 2 * np.arcsin(np.sqrt(prior))
-    state = np.ones(1, dtype=complex)
-    for q in range(n):
-        amp = np.array([np.cos(phi[q] / 2), np.sin(phi[q] / 2)], dtype=complex)
-        state = np.kron(amp, state)
-
+    state = kron_product_state(phi)
     for beta, gamma in zip(schedule.betas, schedule.gammas):
         state *= np.exp(-1j * gamma * energies)
         for q in range(n):

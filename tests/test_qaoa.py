@@ -37,6 +37,8 @@ from helpers import (
     brute_force_energies,
     dense_qaoa_distribution,
     ising_terms,
+    kron_product_state,
+    old_mix_layer,
     old_simulate,
     p_opt,
     run_record_to_dict,
@@ -232,6 +234,98 @@ class TestSimulateMatchesOracle:
             prior = rng.uniform(0, 1, n)
             schedule = lr_schedule(1 + trial % 3, *rng.uniform(0, 2, 2))
             assert np.array_equal(simulate(h, prior, schedule), old_simulate(h, prior, schedule))
+
+    @pytest.mark.parametrize("n", [15, 17])
+    def test_bit_identical_across_the_chunk_boundary(self, n):
+        # Qubits from 14 up are mixed on column strips, not within chunks.
+        h = random_ising(n, n, odd_terms=True)
+        for prior_kind in ("open", "binary"):
+            prior = oracle_prior(prior_kind, n)
+            schedule = lr_schedule(2, 0.83, 0.41)
+            assert np.array_equal(simulate(h, prior, schedule), old_simulate(h, prior, schedule))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit, the signs of zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestMixLayer:
+    @pytest.mark.parametrize("n", range(21))
+    def test_matches_per_qubit_loop(self, n):
+        rng = np.random.default_rng(100 + n)
+        shared = qaoa._mixer_matrix(0.7, 1.1)
+        for trial in range(2 if n > 16 else 5):
+            state = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            if trial % 2:
+                gates = [shared] * n
+            else:
+                gates = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(n)]
+            expected = state.copy()
+            old_mix_layer(expected, gates)
+            qaoa._mix_layer(state, gates, qaoa._scratch(n))
+            assert same_bits(state, expected)
+
+    def test_gates_built_once_per_distinct_angle(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(qaoa, "_mixer_matrix", lambda beta, phi: built.append(phi) or phi)
+        phi = np.array([0.5, 0.25, 0.5, 0.5, 0.25])
+        assert qaoa._layer_gates(0.3, phi) == list(phi)
+        assert sorted(built) == [0.25, 0.5]
+
+
+class TestProductState:
+    @pytest.mark.parametrize("n", range(19))
+    def test_matches_kron_chain(self, n):
+        rng = np.random.default_rng(n)
+        for phi in (rng.uniform(0, np.pi, n), np.zeros(n), np.full(n, np.pi)):
+            out = np.full(1 << n, np.nan, dtype=complex)
+            assert same_bits(qaoa._product_state(phi, out), kron_product_state(phi))
+
+
+class TestLevels:
+    @staticmethod
+    def assert_matches_return_inverse(energies):
+        expected, inverse = np.unique(energies, return_inverse=True)
+        levels, level = qaoa._levels(energies)
+        assert same_bits(levels, expected)
+        assert level.dtype == np.min_scalar_type(len(expected) - 1)
+        assert np.array_equal(level, inverse)
+
+    @pytest.mark.parametrize("kind", ["qubo", "hubo"])
+    def test_workload_diagonals(self, kind):
+        self.assert_matches_return_inverse(diagonal(wide_instance(kind)))
+        self.assert_matches_return_inverse(diagonal(random_ising(16, 0, odd_terms=True)))
+
+    @pytest.mark.parametrize(
+        "energies",
+        [np.array([2.5]), np.full(64, -1.25), np.arange(300.0) % 257],
+        ids=["no qubits", "one level", "two-byte index"],
+    )
+    def test_edge_cases(self, energies):
+        self.assert_matches_return_inverse(energies)
+
+    def test_signed_zeros(self):
+        # Both zeros fall in one level.  Which sign it carries depends on
+        # how the sort ordered them, in np.unique with return_inverse too,
+        # and no output depends on it.
+        rng = np.random.default_rng(3)
+        energies = rng.choice(np.array([-0.0, 0.0, 1.0, -1.0]), 1 << 8)
+        expected, inverse = np.unique(energies, return_inverse=True)
+        levels, level = qaoa._levels(energies)
+        assert np.array_equal(levels, expected) and np.array_equal(level, inverse)
+        h = IsingPolynomial(8, ising_terms([([0, 1], 0.5), ([2], -0.5), ([3], 0.25), ([4, 5], 0.25)]))
+        values, index = qaoa._levels(diagonal(h))
+        zero = values == 0
+        assert zero.any()
+        flipped = np.where(zero, -values, values)
+        assert not same_bits(flipped, values)
+        schedule = lr_schedule(2, 0.7, 0.9)
+        prior = oracle_prior("open", 8)
+        assert same_bits(
+            simulate(h, prior, schedule, (flipped, index)),
+            simulate(h, prior, schedule, (values, index)),
+        )
 
 
 def encode_hubo_fixture():
@@ -605,6 +699,20 @@ class TestSweepLightCone:
         optima = set(np.flatnonzero(energies == energies.min()).tolist())
         probs = simulate(h, prior, lr_schedule(2, 0.6, 0.5))
         assert sweep(h, prior, [(0.6, 0.5)], [2]) == [(2, 0.6, 0.5, p_opt(probs, optima))]
+
+    def test_sixteen_qubits_match_old_simulate(self):
+        h = to_ising(encode_qubo(generate_tangle(2, 2, 3, 0.25), 4))
+        assert h.num_qubits == 16
+        energies = diagonal(h)
+        optima = set(np.flatnonzero(energies == energies.min()).tolist())
+        prior = oracle_prior("open", 16)
+        grid = [(0.9, 0.35), (0.4, 0.7)]
+        expected = [
+            (p, db, dg, p_opt(old_simulate(h, prior, lr_schedule(p, db, dg)), optima))
+            for p in (1, 3)
+            for db, dg in sorted(grid)
+        ]
+        assert sweep(h, prior, grid, [1, 3]) == expected
 
     def test_checks_match_simulate(self):
         over_budget(lambda: sweep(IsingPolynomial(40), np.full(40, 0.5), [(0.5, 0.5)], [1]))

@@ -44,6 +44,7 @@ from helpers import (
     full_rescan_search_layout,
     greedy_order_plans,
     old_cancel_adjacent_cx,
+    old_metrics,
     old_plan_rotation,
     old_steiner_tree,
 )
@@ -131,7 +132,11 @@ def test_compilers_reject_cx_and_swap(compiler, gate):
 
 
 def digest_compiled(digest, compiled):
-    """Feed every compiled gate (name, qubits, exact angle) and both layouts to ``digest``."""
+    """Feed every compiled gate (name, qubits, exact angle) and both layouts to ``digest``.
+
+    The compilation's metrics are first checked against ``old_metrics``.
+    """
+    assert compiled.metrics == old_metrics(compiled.circuit)
     for g in compiled.circuit.gates:
         theta = "-" if g.theta is None else g.theta.hex()
         digest.update(f"{g.name} {g.qubits} {theta};".encode())
@@ -259,7 +264,7 @@ class TestCompileParity:
         for compiler in (compile_parity, compile_naive):
             compiled = compiler(layer, topo)
             for g in compiled.circuit.gates:
-                if g.is_two_qubit:
+                if len(g.qubits) == 2:
                     assert topo.coupled(*g.qubits)
 
     @pytest.mark.parametrize("seed", range(6))

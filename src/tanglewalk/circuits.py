@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._dense import _parity_table
 from .errors import DomainError
-from .ising import _check_memory, _walsh_hadamard
 
 ROTATION_GATES = {"RY", "RZ", "RZZ", "MULTIRZ"}
 PLAIN_GATES = {"CX", "SWAP"}
@@ -124,26 +124,6 @@ def _parity_replay(gates, forms: list[int]) -> list[tuple[int, float]]:
     return phases
 
 
-def _parity_table(coeffs: dict[int, float]) -> np.ndarray:
-    """sum over masks S of coeffs[S] * (-1)^|S & x|, tabulated over the masks' support.
-
-    The support is the bits set in any mask, ascending.  The table holds
-    2^len(support) sums: entry y holds the sum for every x whose support
-    bits, packed in that order, read y.  Bits outside the support do not
-    change the sum, so one Walsh-Hadamard transform of 2^|support| entries
-    replaces one of 2^n.
-    """
-    union = 0
-    for mask in coeffs:
-        union |= mask
-    support = [q for q in range(union.bit_length()) if (union >> q) & 1]
-    _check_memory("parity table", len(support))
-    table = np.zeros(1 << len(support))
-    for mask, coeff in coeffs.items():
-        table[sum(1 << i for i, q in enumerate(support) if (mask >> q) & 1)] += coeff
-    return _walsh_hadamard(table)
-
-
 def metrics(circ) -> dict:
     """{two_qubit_count, two_qubit_depth, total_ops}; SWAP weighs 3.
 
@@ -229,7 +209,7 @@ def verify_equivalence(a, b, tol: float = 1e-8) -> bool:
     of pi shifts every basis state's phase by the same amount mod 2 pi.  If
     the residues sum to at most tol/2, no relative phase moves by more than
     tol.  Otherwise one Walsh-Hadamard transform over the residues' support
-    (within ising.MEMORY_BUDGET) gives every relative phase
+    (within _dense.MEMORY_BUDGET) gives every relative phase
     delta(x), and the segments agree when each |1 - e^{-i delta(x)}| is at
     most tol, measured from x = 0.  ``tol`` applies per segment.  After the
     last segment, the forms at the final layouts must match and every

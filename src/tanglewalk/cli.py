@@ -438,15 +438,8 @@ class ExperimentConfig:
 
 
 def _pipeline_one(payload):
-    cfg, run_seed = payload
-    if cfg.graph:
-        g = graph_from_dict(_load_json(cfg.graph))
-    else:
-        g = generate_tangle(cfg.seed, cfg.nodes, cfg.max_weight, cfg.density)
-    poly, meta = _encode(g, cfg.kind, cfg.length, cfg)
-    record = _run_solve(g, poly, meta, cfg, run_seed)
-    oracle = enumerate_optimal_walks(g, meta["T"])
-    return record.to_dict(), oracle.min_cost
+    g, poly, meta, cfg, run_seed = payload
+    return _run_solve(g, poly, meta, cfg, run_seed).to_dict()
 
 
 def cmd_pipeline(args) -> int:
@@ -457,11 +450,14 @@ def cmd_pipeline(args) -> int:
         values["seeds"] = _parse_int_list(args.seeds, "--seeds")
         cfg = ExperimentConfig(**values)
     cfg.validate()
-    results = _pool_map(_pipeline_one, [(cfg, run_seed) for run_seed in cfg.seeds])
+    g = _load_instance(cfg)
+    poly, meta = _encode(g, cfg.kind, cfg.length, cfg)
+    oracle_min = enumerate_optimal_walks(g, meta["T"]).min_cost
+    records = _pool_map(_pipeline_one, [(g, poly, meta, cfg, seed) for seed in cfg.seeds])
 
     runs = []
     print(f"{'seed':>6} {'best_E':>8} {'oracle':>8} {'found_at':>9} {'walk_cost':>10}")
-    for run_seed, (record, oracle_min) in zip(cfg.seeds, results):
+    for run_seed, record in zip(cfg.seeds, records):
         walk = record["decoded_walk"] or {}
         runs.append({"seed": run_seed, "oracle_min": oracle_min, "record": record})
         found = record["optimum_iteration"]

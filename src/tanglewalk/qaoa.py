@@ -7,28 +7,11 @@ eigenstate), samples the exact output distribution, keeps the best
 fraction of shots, and feeds an energy-weighted Z expectation back into
 the next iteration's bit-flip probabilities.
 
-The simulation is an exact dense statevector.  Before allocating,
-``simulate`` and ``sweep`` check their peak-byte estimate against
-``ising.MEMORY_BUDGET`` and raise SizeCapError if it does not fit.  The
-product state is filled in place, and each cost phase is gathered from
-one exponential per distinct energy.  Each mixer layer (``_mix_layer``)
-is cache-blocked as in qHiPSTER (arXiv:1601.07195) and the Intel Quantum
-Simulator (arXiv:2001.10554), without gate fusion: it mixes qubits
-0..13 within one contiguous 2^14-amplitude chunk at a time, then the
-higher qubits within 1,024-wide column strips, so each pass over a
-qubit works on data that stays in a 2 MB L2 cache.  Every amplitude is
-still ``gate[b, 0] * lo + gate[b, 1] * hi`` with the scalar first, so it
-is bit-identical to a pass over the whole state.  ``sweep`` needs only the
-probability of the optimal states, so it runs the last mixer as a light
-cone that computes only the optimal amplitudes; its values equal
-``p_opt(simulate(...))`` (``tests/helpers.py``) bit for bit.
-
-Bit-identity rests on three NumPy behaviours (checked on NumPy 2.4.6):
-``np.multiply(g, a)`` and ``np.multiply(a, g)`` round a complex product
-differently, so every product puts the scalar first; an in-place multiply
-of a single complex element takes a scalar loop that rounds differently
-from the vector loop; and NumPy scalars square with other rounding than
-arrays do.
+The simulation is an exact dense statevector, within ``_dense``'s memory
+rule.  ``sweep`` needs only the probability of the optimal states, so it
+runs the last mixer as a light cone that computes only the optimal
+amplitudes; its values equal ``p_opt(simulate(...))`` (``tests/helpers.py``)
+bit for bit.
 """
 
 from __future__ import annotations
@@ -39,8 +22,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import _dense
 from .errors import DomainError
-from .ising import IsingPolynomial, _check_memory, diagonal
+from .ising import IsingPolynomial, diagonal
 
 CLIP_EPSILON = 0.15
 FEEDBACK_TEMPERATURE_START = 0.015
@@ -101,58 +85,11 @@ def _checked_prior(h: IsingPolynomial, prior: Sequence[float]) -> np.ndarray:
     return prior
 
 
-def _product_state(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the product of cos(phi_q/2)|0> + sin(phi_q/2)|1>, qubit 0 lowest.
-
-    Qubit k doubles the filled prefix: amp1 * prefix goes after it, then
-    the prefix is scaled by amp0, scalar first in both, as the chain of
-    ``np.kron(amp, state)`` it replaces multiplied them.
-    """
-    out[0] = 1
-    for k, angle in enumerate(phi):
-        amp = np.array([np.cos(angle / 2), np.sin(angle / 2)], dtype=complex)
-        prefix = out[: 1 << k]
-        np.multiply(amp[1], prefix, out=out[1 << k : 2 << k])
-        np.multiply(amp[0], prefix, out=prefix)
-    return out
-
-
-def _scratch(n: int) -> np.ndarray:
-    # Three half-length buffers: the mixer's three products (chunk- or
-    # strip-sized slices), the phase of one half of the state, or the
-    # light cone's stages.  Below two qubits the phase goes in one piece:
-    # NumPy's in-place multiply of a single complex element takes a
-    # scalar loop that rounds differently from the vector loop of longer
-    # arrays.
-    return np.empty((3, max(1 << n >> 1, 2)), dtype=complex)
-
-
-def _halves(block: np.ndarray):
-    half = block.shape[1]
-    return slice(0, half), slice(half, None)
-
-
-def _levels(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct energies and each state's index into them, in the smallest type.
-
-    When both +0.0 and -0.0 occur, the sign of the zero level is not
-    defined (it was not with ``return_inverse`` either); no output depends
-    on it, because it only signs zero parts of amplitudes.
-    """
-    levels = np.unique(energies)
-    level = np.searchsorted(levels, energies)
-    return levels, level.astype(np.min_scalar_type(len(levels) - 1))
-
-
-def _table_phase(state: np.ndarray, gamma: float, levels, level, block: np.ndarray):
-    """In place: state *= exp(-i gamma E), one exp per distinct energy (``_levels``)."""
-    table = np.multiply(-1j * gamma, levels)
-    np.exp(table, out=table)
-    for part in _halves(block):
-        buf = block[0, : state[part].size]
-        # mode="raise" (the default) would gather into a buffered copy of ``out``
-        np.take(table, level[part], out=buf, mode="clip")
-        np.multiply(state[part], buf, out=state[part])
+def _checked_levels(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
+    values, index = levels
+    if index.shape != (1 << n,) or index.dtype.kind != "u" or index.max() >= len(values):
+        raise DomainError(f"levels must map {1 << n} states to one of its {len(values)} energies")
+    return values, index
 
 
 def _layer_gates(beta: float, phi: np.ndarray) -> list[np.ndarray]:
@@ -165,78 +102,6 @@ def _layer_gates(beta: float, phi: np.ndarray) -> list[np.ndarray]:
     return [matrices[i] for i in which.tolist()]
 
 
-_CHUNK_QUBITS = 14  # 2^14 amplitudes and their products fit a 2 MB L2 cache
-_STRIP_WIDTH = 1024  # columns per strip of the (2^(n - 14), 2^14) view
-
-
-def _mix(pairs: np.ndarray, gate: np.ndarray, block: np.ndarray):
-    """In place: the 2x2 ``gate`` on (lo, hi) = (pairs[:, 0], pairs[:, 1]).
-
-    Each of the four products goes to a contiguous slice of ``block``
-    before its sum goes back into ``pairs``, and ``lo`` is overwritten
-    only once no product needs it, so every amplitude is computed exactly as
-    ``gate[b, 0] * lo + gate[b, 1] * hi`` on fresh arrays would be.
-    """
-    lo, hi = pairs[:, 0], pairs[:, 1]
-    t0, t1, t2 = (buf[: lo.size].reshape(lo.shape) for buf in block)
-    np.multiply(gate[0, 0], lo, out=t0)
-    np.multiply(gate[0, 1], hi, out=t1)
-    np.multiply(gate[1, 0], lo, out=t2)
-    np.add(t0, t1, out=lo)
-    np.multiply(gate[1, 1], hi, out=t0)
-    np.add(t2, t0, out=hi)
-
-
-def _mix_layer(state: np.ndarray, gates, block: np.ndarray):
-    """In place: apply ``gates[q]`` to qubit q of a 2^n statevector, for every q.
-
-    Qubits below ``_CHUNK_QUBITS`` are mixed one contiguous chunk of
-    2^_CHUNK_QUBITS amplitudes at a time; the others act on the row
-    index of the (2^(n - _CHUNK_QUBITS), 2^_CHUNK_QUBITS) view and are
-    mixed one strip of ``_STRIP_WIDTH`` columns at a time.
-    """
-    low = min(len(gates), _CHUNK_QUBITS)
-    rows = state.reshape(-1, 1 << low)
-    for chunk in rows:
-        for q in range(low):
-            _mix(chunk.reshape(-1, 2, 1 << q), gates[q], block)
-    for start in range(0, rows.shape[1], _STRIP_WIDTH):
-        strip = rows[:, start : start + _STRIP_WIDTH]
-        for q in range(low, len(gates)):
-            _mix(strip.reshape(-1, 2, 1 << (q - low), strip.shape[1]), gates[q], block)
-
-
-def _light_cone(state: np.ndarray, gates, targets, block: np.ndarray) -> np.ndarray:
-    """Amplitudes at the sorted indices ``targets`` after one mixer pass per qubit.
-
-    Pass q applies ``gates[q]`` to qubit q, as ``_mix_layer`` does, but keeps
-    only the slices whose index bits 0..q match some target: later passes
-    never mix those bits, so the other slices cannot reach a target.
-    Each kept slice is stored contiguously, holding the amplitudes of
-    one low-bit pattern in ascending order of the high bits.  The stages
-    alternate between ``state`` and the first two thirds of ``block``;
-    the last third holds one product.  ``state`` is overwritten.
-    """
-    areas = (block.reshape(-1), state)
-    src, patterns = state, [0]
-    for q, gate in enumerate(gates):
-        mask = (2 << q) - 1
-        kept = sorted({t & mask for t in targets})
-        parent = {pattern: row for row, pattern in enumerate(patterns)}
-        rows = src.reshape(len(patterns), -1)
-        width = rows.shape[1] >> 1
-        out = areas[q & 1][: len(kept) * width].reshape(len(kept), width)
-        tmp = block[2, :width]
-        for row, pattern in enumerate(kept):
-            b = pattern >> q
-            parent_row = rows[parent[pattern & (mask >> 1)]]
-            np.multiply(gate[b, 0], parent_row[0::2], out=tmp)
-            np.multiply(gate[b, 1], parent_row[1::2], out=out[row])
-            np.add(tmp, out[row], out=out[row])
-        src, patterns = out.reshape(-1), kept
-    return src
-
-
 def simulate(
     h: IsingPolynomial,
     prior: Sequence[float],
@@ -246,25 +111,25 @@ def simulate(
     """Exact output distribution of one warm-started LR-QAOA circuit.
 
     Returns |amplitude|^2 over all 2^n basis states.  ``levels`` may be
-    passed to reuse ``_levels(diagonal(h))`` across calls.
+    passed to reuse ``_dense._levels(diagonal(h))`` across calls.
     """
     n = h.num_qubits
-    _check_memory("simulate", n)
+    _dense._check_memory("simulate", n)
     prior = _checked_prior(h, prior)
     if levels is None:
-        levels = _levels(diagonal(h))
-    values, index = levels
-    if index.shape != (1 << n,) or index.dtype.kind != "u" or index.max() >= len(values):
-        raise DomainError(f"levels must map {1 << n} states to one of its {len(values)} energies")
-    _check_memory("simulate", n, len(values))
+        levels = _dense._levels(diagonal(h))
+    values, index = _checked_levels(levels, n)
+    _dense._check_memory("simulate", n, len(values))
 
     phi = 2 * np.arcsin(np.sqrt(prior))
-    state = _product_state(phi, np.empty(1 << n, dtype=complex))
-    block = _scratch(n)
+    state = _dense._product_state(phi, np.empty(1 << n, dtype=complex))
+    block = _dense._scratch(n)
     for beta, gamma in zip(schedule.betas, schedule.gammas):
-        _table_phase(state, gamma, values, index, block)
-        _mix_layer(state, _layer_gates(beta, phi), block)
-    return np.abs(state) ** 2
+        _dense._table_phase(state, gamma, values, index, block)
+        _dense._mix_layer(state, _layer_gates(beta, phi), block)
+    del block
+    probs = np.abs(state)
+    return np.square(probs, out=probs)  # in place, rounded as ``probs ** 2``
 
 
 @dataclass
@@ -292,25 +157,23 @@ class SampleBatch:
         return float(self.energies.min())
 
 
-def sample(probs: np.ndarray, shots: int, seed, energies: np.ndarray) -> SampleBatch:
-    """Multinomial draw from an exact distribution, deterministic in the seed."""
+def sample(probs: np.ndarray, shots: int, seed, levels: tuple) -> SampleBatch:
+    """Multinomial draw from an exact distribution, deterministic in the seed.
+
+    The energies are read from ``levels``, ``_dense._levels(diagonal(h))``.
+    """
     if shots < 0:
         raise DomainError(f"shots must be >= 0, got {shots}")
     probs = np.asarray(probs, dtype=float)
     n = len(probs).bit_length() - 1
     if n < 0 or 1 << n != len(probs):
         raise DomainError("probability vector length must be a power of two")
-    energies = np.asarray(energies, dtype=float)
-    if energies.shape != probs.shape:
-        raise DomainError(f"energies must have {len(probs)} entries, got shape {energies.shape}")
+    values, index = _checked_levels(levels, n)
     if not np.all(np.isfinite(probs) & (probs >= 0)):
         raise DomainError("probabilities must be finite and non-negative")
     total = probs.sum()
     if not total > 0:
         raise DomainError("probabilities must not all be zero")
-    if shots == 0:
-        empty = np.array([], dtype=np.uint64)
-        return SampleBatch(n, empty, empty.astype(np.int64), empty.astype(float), 0)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs / total)
     hit = np.nonzero(counts)[0]
@@ -318,7 +181,7 @@ def sample(probs: np.ndarray, shots: int, seed, energies: np.ndarray) -> SampleB
         num_qubits=n,
         indices=hit.astype(np.uint64),
         counts=counts[hit].astype(np.int64),
-        energies=energies[hit],
+        energies=values[index[hit]],
         shots=shots,
     )
 
@@ -481,11 +344,10 @@ def iterative_qaoa(
         if layout is None:
             raise DomainError("either a layout or an explicit prior is required")
         prior = initial_prior(kind, layout)
-    _check_memory("simulate", h.num_qubits)
+    _dense._check_memory("simulate", h.num_qubits)
     prior = _checked_prior(h, prior)
     schedule = lr_schedule(config.p, config.dbeta, config.dgamma)
-    energies = diagonal(h)
-    levels = _levels(energies)  # one phase table for every iteration
+    levels = _dense._levels(diagonal(h))  # every iteration's phase table and energies
     slack = _rounding_slack(h)
     seeds = np.random.SeedSequence(config.seed).spawn(config.iterations)
 
@@ -493,7 +355,7 @@ def iterative_qaoa(
     termination = "max_iterations"
     for j in range(1, config.iterations + 1):
         probs = simulate(h, prior, schedule, levels)
-        batch = sample(probs, config.shots, seeds[j - 1], energies)
+        batch = sample(probs, config.shots, seeds[j - 1], levels)
         del probs  # the next simulate need not run beside it
         kept = cvar_filter(batch, config.alpha)
         fb = beta_t(j, config.iterations)
@@ -543,9 +405,10 @@ def sweep(
     come back sorted by (p, dbeta, dgamma) regardless of input order.  Each value
     equals ``p_opt(simulate(...), optimal)`` of ``tests/helpers.py``
     exactly, but the last mixer computes only the optimal amplitudes
-    (``_light_cone``).
+    (``_dense._light_cone``).
     """
-    _check_memory("sweep", h.num_qubits)
+    n = h.num_qubits
+    _dense._check_memory("sweep", n)
     prior = _checked_prior(h, prior)
     schedules = [
         lr_schedule(p, dbeta, dgamma)
@@ -557,22 +420,22 @@ def sweep(
     targets = sorted(optimal)
     position = {t: j for j, t in enumerate(targets)}
     order = [position[i] for i in set(optimal)]  # tests/helpers.py p_opt's summation order
-    levels, level = _levels(energies)
+    levels, level = _dense._levels(energies)
     del energies  # the phase comes from the levels from here on
-    _check_memory("sweep", h.num_qubits, len(levels))
+    _dense._check_memory("sweep", n, len(levels))
     phi = 2 * np.arcsin(np.sqrt(prior))
-    state = np.empty(1 << h.num_qubits, dtype=complex)  # refilled for every grid point
-    block = _scratch(h.num_qubits)
+    state = np.empty(1 << n, dtype=complex)  # refilled for every grid point
+    block = np.empty((3, max(1 << n >> 1, 2)), dtype=complex)  # _light_cone's stages
     rows = []
     for schedule in schedules:
-        _product_state(phi, state)
+        _dense._product_state(phi, state)
         for layer, (beta, gamma) in enumerate(zip(schedule.betas, schedule.gammas), 1):
-            _table_phase(state, gamma, levels, level, block)
+            _dense._table_phase(state, gamma, levels, level, block)
             gates = _layer_gates(beta, phi)
             if layer == schedule.p:
-                amps = _light_cone(state, gates, targets, block)
+                amps = _dense._light_cone(state, gates, targets, block)
             else:
-                _mix_layer(state, gates, block)
+                _dense._mix_layer(state, gates, block)
         probs = np.abs(amps) ** 2  # an array: NumPy scalars square with other rounding
         popt = float(sum(probs[j] for j in order))
         rows.append((schedule.p, schedule.dbeta, schedule.dgamma, popt))

@@ -19,7 +19,10 @@ only the ``Gate`` record with the package and build their plans as
 the in-place kernels must match bit for bit, with the product state as a
 chain of ``np.kron`` (``kron_product_state``) and ``old_mix_layer``, the
 mixer layer as one pass over the whole state per qubit, before cache
-blocking.  ``p_opt`` sums the optimal
+blocking.  ``half_split_table_phase`` and ``half_split_simulate`` are the
+phase and ``simulate`` as they were before their buffers shrank to chunk
+size: the phase gathered in two halves of the state, the squares taken
+beside it.  ``p_opt`` sums the optimal
 mass of a distribution in the order ``sweep`` must reproduce, and
 ``run_record_to_dict`` is ``RunRecord.to_dict`` as it was written out
 field by field, the reference for the JSON of ``dataclasses.asdict``.
@@ -778,6 +781,34 @@ def old_simulate(
         state *= np.exp(-1j * gamma * energies)
         for q in range(n):
             old_apply_single_qubit(state, _mixer_matrix(beta, phi[q]), q, n)
+    return np.abs(state) ** 2
+
+
+def half_split_table_phase(state: np.ndarray, gamma: float, levels, level):
+    """In place: state *= exp(-i gamma E), gathered from ``levels`` in two halves of the state.
+
+    Below two qubits the phase goes in one piece.
+    """
+    table = np.multiply(-1j * gamma, levels)
+    np.exp(table, out=table)
+    half = max(state.size >> 1, 2)
+    buf = np.empty(half, dtype=complex)
+    for part in (slice(0, half), slice(half, None)):
+        out = buf[: state[part].size]
+        np.take(table, level[part], out=out, mode="clip")
+        np.multiply(state[part], out, out=state[part])
+
+
+def half_split_simulate(h, prior, schedule) -> np.ndarray:
+    """``simulate`` with the half-split phase and ``np.abs(state) ** 2`` beside the state."""
+    n = h.num_qubits
+    levels, level = np.unique(diagonal(h), return_inverse=True)
+    level = level.astype(np.min_scalar_type(len(levels) - 1))
+    phi = 2 * np.arcsin(np.sqrt(np.asarray(prior, dtype=float)))
+    state = kron_product_state(phi)
+    for beta, gamma in zip(schedule.betas, schedule.gammas):
+        half_split_table_phase(state, gamma, levels, level)
+        old_mix_layer(state, [_mixer_matrix(beta, phi[q]) for q in range(n)])
     return np.abs(state) ** 2
 
 

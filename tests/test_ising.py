@@ -26,7 +26,7 @@ from tanglewalk import (
     to_ising,
 )
 from tanglewalk.circuits import _is_global_phase
-from tanglewalk.ising import MEMORY_BUDGET, _check_memory
+from tanglewalk._dense import MEMORY_BUDGET, _check_memory
 
 import test_acceptance as acceptance
 from helpers import (
@@ -243,6 +243,20 @@ class TestDiagonal:
         # X pairs (0,2), (2,0), (1,3), (3,1) in LSB-first bit order
         assert set(np.flatnonzero(diag == 0).tolist()) == {8, 2, 13, 7}
 
+    def test_no_negative_zero(self):
+        # A -0.0 constant enters the transform as +0.0, and the transform of
+        # +0.0 and nonzero entries yields no -0.0.
+        assert np.array_equal(
+            diagonal(IsingPolynomial(1, {}, -0.0)).view(np.uint64), np.zeros(2, np.uint64)
+        )
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_no_negative_zero_in_random_polynomials(self, data):
+        h = random_ising(data, st.sampled_from([-0.0, 0.0, 0.25, -0.25, 0.5, -1.0]))
+        energies = diagonal(h)
+        assert not np.signbit(energies[energies == 0]).any()
+
     def test_zero_qubits(self):
         assert diagonal(IsingPolynomial(0, constant=2.5)).tolist() == [2.5]
 
@@ -326,13 +340,19 @@ class TestMemoryRule:
     def test_widest_admitted_widths(self):
         # The widths the README quotes for the 4 GiB budget.
         assert MEMORY_BUDGET == 4 << 30
-        widest = {"diagonal": 28, "parity table": 28, "simulate": 26, "sweep": 26}
+        widest = {"diagonal": 28, "parity table": 28, "simulate": 27, "sweep": 26}
         for path, n in widest.items():
             _check_memory(path, n)
             with pytest.raises(SizeCapError, match=path):
                 _check_memory(path, n + 1)
-        # With every energy distinct, the QAOA paths admit one qubit less.
-        for path in ("simulate", "sweep"):
-            _check_memory(path, 25, 1 << 25)
+        # simulate admits 27 qubits with up to (4 GiB - 1 MiB - 30 * 2^27) / 24
+        # distinct energies, sweep 26 with up to (4 GiB - 1 MiB - 44 * 2^26) / 24.
+        for path, n, levels in (("simulate", 27, 11_141_120), ("sweep", 26, 55_880_362)):
+            _check_memory(path, n, levels)
             with pytest.raises(SizeCapError, match=path):
-                _check_memory(path, 26, 1 << 26)
+                _check_memory(path, n, levels + 1)
+        # With every energy distinct, each admits one qubit less.
+        for path, n in (("simulate", 26), ("sweep", 25)):
+            _check_memory(path, n, 1 << n)
+            with pytest.raises(SizeCapError, match=path):
+                _check_memory(path, n + 1, 1 << (n + 1))

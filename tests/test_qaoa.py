@@ -31,11 +31,14 @@ from tanglewalk import (
     to_ising,
     update_prior,
 )
-from tanglewalk import qaoa
+from tanglewalk import _dense, qaoa
+from tanglewalk._dense import _levels
 
 from helpers import (
     brute_force_energies,
     dense_qaoa_distribution,
+    half_split_simulate,
+    half_split_table_phase,
     ising_terms,
     kron_product_state,
     old_mix_layer,
@@ -152,7 +155,7 @@ class TestSimulate:
         prior = np.array([0.2, 0.5, 0.7, 0.35])
         probs = simulate(h, prior, lr_schedule(2, 0.9, 0.0))
         shots = 100_000
-        batch = sample(probs, shots, 13, diagonal(h))
+        batch = sample(probs, shots, 13, _levels(diagonal(h)))
         bits = batch.bit_matrix()
         for q in range(4):
             freq = float((batch.counts * bits[:, q]).sum())
@@ -167,7 +170,7 @@ class TestSimulate:
     def test_reused_levels_give_the_same_distribution(self):
         h = random_ising(6, 0, True)
         prior, schedule = np.full(6, 0.3), lr_schedule(2, 0.7, 0.4)
-        levels = qaoa._levels(diagonal(h))
+        levels = _levels(diagonal(h))
         assert np.array_equal(simulate(h, prior, schedule, levels), simulate(h, prior, schedule))
 
     @pytest.mark.parametrize(
@@ -203,6 +206,14 @@ def random_ising(n, seed, odd_terms):
         for _ in range(2 * n):
             qubits = rng.choice(n, degree, replace=False).tolist()
             pairs.append((qubits, int(rng.integers(-8, 9)) / 4))
+    return IsingPolynomial(n, ising_terms(pairs))
+
+
+def distinct_ising(n, seed):
+    """Gaussian Z terms of degree 1-3: every energy distinct (a uint32 index from 17 qubits)."""
+    rng = np.random.default_rng(seed)
+    degrees = [min(d, n) for d in (1, 2, 3) * n]
+    pairs = [(rng.choice(n, d, replace=False).tolist(), rng.normal()) for d in degrees]
     return IsingPolynomial(n, ising_terms(pairs))
 
 
@@ -245,6 +256,33 @@ class TestSimulateMatchesOracle:
             assert np.array_equal(simulate(h, prior, schedule), old_simulate(h, prior, schedule))
 
 
+class TestChunkSizedBuffersMatchHalfSplit:
+    """The phase gathered one scratch-length slice at a time, and the squares
+    taken in place, give the bits of the half-split copies in helpers.py."""
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_table_phase(self, n):
+        rng = np.random.default_rng(n)
+        for h in (random_ising(n, n, odd_terms=True), distinct_ising(n, n)):
+            levels, level = _levels(diagonal(h))
+            state = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            expected = state.copy()
+            half_split_table_phase(expected, 0.37, levels, level)
+            _dense._table_phase(state, 0.37, levels, level, _dense._scratch(n))
+            assert same_bits(state, expected)
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_simulate(self, n):
+        uniform = (random_ising(n, n, odd_terms=True), np.full(n, 0.5))
+        random = (distinct_ising(n, n), np.random.default_rng(n).uniform(0, 1, n))
+        for h, prior in (uniform, random):
+            for p in (1, 2):
+                schedule = lr_schedule(p, 0.83, 0.41)
+                assert np.array_equal(
+                    simulate(h, prior, schedule), half_split_simulate(h, prior, schedule)
+                )
+
+
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal bit for bit, the signs of zeros included."""
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -263,7 +301,7 @@ class TestMixLayer:
                 gates = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(n)]
             expected = state.copy()
             old_mix_layer(expected, gates)
-            qaoa._mix_layer(state, gates, qaoa._scratch(n))
+            _dense._mix_layer(state, gates, _dense._scratch(n))
             assert same_bits(state, expected)
 
     def test_gates_built_once_per_distinct_angle(self, monkeypatch):
@@ -280,14 +318,14 @@ class TestProductState:
         rng = np.random.default_rng(n)
         for phi in (rng.uniform(0, np.pi, n), np.zeros(n), np.full(n, np.pi)):
             out = np.full(1 << n, np.nan, dtype=complex)
-            assert same_bits(qaoa._product_state(phi, out), kron_product_state(phi))
+            assert same_bits(_dense._product_state(phi, out), kron_product_state(phi))
 
 
 class TestLevels:
     @staticmethod
     def assert_matches_return_inverse(energies):
         expected, inverse = np.unique(energies, return_inverse=True)
-        levels, level = qaoa._levels(energies)
+        levels, level = _levels(energies)
         assert same_bits(levels, expected)
         assert level.dtype == np.min_scalar_type(len(expected) - 1)
         assert np.array_equal(level, inverse)
@@ -312,10 +350,10 @@ class TestLevels:
         rng = np.random.default_rng(3)
         energies = rng.choice(np.array([-0.0, 0.0, 1.0, -1.0]), 1 << 8)
         expected, inverse = np.unique(energies, return_inverse=True)
-        levels, level = qaoa._levels(energies)
+        levels, level = _levels(energies)
         assert np.array_equal(levels, expected) and np.array_equal(level, inverse)
         h = IsingPolynomial(8, ising_terms([([0, 1], 0.5), ([2], -0.5), ([3], 0.25), ([4, 5], 0.25)]))
-        values, index = qaoa._levels(diagonal(h))
+        values, index = _levels(diagonal(h))
         zero = values == 0
         assert zero.any()
         flipped = np.where(zero, -values, values)
@@ -338,48 +376,58 @@ def encode_hubo_fixture():
 class TestSample:
     def test_point_mass(self):
         probs = np.array([1.0, 0, 0, 0])
-        batch = sample(probs, 50, 7, np.array([2.0, 0, 0, 0]))
+        batch = sample(probs, 50, 7, _levels(np.array([2.0, 0, 0, 0])))
         assert batch.indices.tolist() == [0]
         assert batch.counts.tolist() == [50]
         assert batch.energies.tolist() == [2.0]
 
     def test_zero_shots(self):
-        batch = sample(np.full(4, 0.25), 0, 1, np.zeros(4))
+        batch = sample(np.full(4, 0.25), 0, 1, _levels(np.zeros(4)))
         assert batch.shots == 0 and len(batch.indices) == 0
 
     def test_deterministic_in_seed(self):
         probs = np.full(8, 0.125)
-        a = sample(probs, 1000, 42, np.zeros(8))
-        b = sample(probs, 1000, 42, np.zeros(8))
+        a = sample(probs, 1000, 42, _levels(np.zeros(8)))
+        b = sample(probs, 1000, 42, _levels(np.zeros(8)))
         assert a.indices.tolist() == b.indices.tolist()
         assert a.counts.tolist() == b.counts.tolist()
 
     def test_uniform_frequencies_within_five_sigma(self):
         shots = 1_000_000
-        batch = sample(np.full(4, 0.25), shots, 11, np.zeros(4))
+        batch = sample(np.full(4, 0.25), shots, 11, _levels(np.zeros(4)))
         sigma = math.sqrt(shots * 0.25 * 0.75)
         for count in batch.counts:
             assert abs(count - shots / 4) < 5 * sigma
 
+    def test_energies_are_the_diagonal_bit_for_bit(self):
+        # values[index[hit]] reads back E[hit], zeros included: no energy is -0.0.
+        zeros = IsingPolynomial(2, ising_terms([([0], 0.5), ([1], 0.5)]), -0.0)
+        for h in (zeros, random_ising(10, 4, odd_terms=True), distinct_ising(10, 4)):
+            energies = diagonal(h)
+            probs = simulate(h, np.full(h.num_qubits, 0.4), lr_schedule(1, 0.6, 0.3))
+            batch = sample(probs, 5000, 9, _levels(energies))
+            assert same_bits(batch.energies, energies[batch.indices.astype(np.intp)])
+        assert same_bits(diagonal(zeros), np.array([1.0, 0.0, 0.0, -1.0]))
+
     def test_multiplicities_sum_to_shots(self):
-        batch = sample(np.full(16, 1 / 16), 999, 3, np.zeros(16))
+        batch = sample(np.full(16, 1 / 16), 999, 3, _levels(np.zeros(16)))
         assert batch.counts.sum() == batch.shots == 999
 
     @pytest.mark.parametrize("bad", [np.nan, -0.25, np.inf])
     def test_invalid_probabilities_rejected(self, bad):
         with pytest.raises(DomainError):
-            sample(np.array([0.5, 0.75, bad, 0.0]), 10, 0, np.zeros(4))
+            sample(np.array([0.5, 0.75, bad, 0.0]), 10, 0, _levels(np.zeros(4)))
 
     @pytest.mark.parametrize("length", [3, 16])
     def test_energies_length_checked(self, length):
         with pytest.raises(DomainError):
-            sample(np.full(8, 0.125), 100, 0, np.zeros(length))
+            sample(np.full(8, 0.125), 100, 0, _levels(np.zeros(length)))
 
     @pytest.mark.parametrize("probs", [np.zeros(4), np.zeros(0)], ids=["all-zero", "empty"])
     @pytest.mark.parametrize("shots", [0, 10])
     def test_no_distribution_rejected(self, probs, shots):
         with pytest.raises(DomainError):
-            sample(probs, shots, 0, np.zeros(len(probs)))
+            sample(probs, shots, 0, _levels(np.zeros(len(probs))))
 
 
 class TestCvarFilter:

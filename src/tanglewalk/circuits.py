@@ -31,6 +31,7 @@ DIAGONAL_GATES = {"RZ", "RZZ", "MULTIRZ"}
 KNOWN_GATES = ROTATION_GATES | PLAIN_GATES
 ARITY = {"RY": 1, "RZ": 1, "CX": 2, "RZZ": 2, "SWAP": 2}  # MULTIRZ takes any number
 TWO_QUBIT_GATES = {"CX", "RZZ", "SWAP"}
+PHASE_TOLERANCE = 1e-8  # largest |1 - e^{-i delta}| ``verify_equivalence`` accepts
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,7 @@ class Gate:
     theta: float | None = None
 
     def __post_init__(self):
-        name = self.name.upper()
-        object.__setattr__(self, "name", name)
+        name = self.name
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if name in ROTATION_GATES and self.theta is None:
             raise DomainError(f"{name} requires an angle")
@@ -74,7 +74,7 @@ class CircuitIR:
                 raise DomainError(f"gate {gate.name} touches qubit {q} >= {self.num_qubits}")
 
     def append(self, name: str, qubits, theta: float | None = None):
-        gate = Gate(name, tuple(qubits) if not isinstance(qubits, int) else (qubits,), theta)
+        gate = Gate(name, tuple(qubits), theta)
         self._check(gate)
         self.gates.append(gate)
 
@@ -124,17 +124,16 @@ def _parity_replay(gates, forms: list[int]) -> list[tuple[int, float]]:
     return phases
 
 
-def metrics(circ) -> dict:
+def metrics(circ: CircuitIR) -> dict:
     """{two_qubit_count, two_qubit_depth, total_ops}; SWAP weighs 3.
 
     Depth is ASAP layering over the two-qubit gates: gates sharing a
     qubit serialise, a SWAP occupies three layers.
     """
-    gates = circ.gates if isinstance(circ, CircuitIR) else circ.circuit.gates
     count = 0
     frontier: dict[int, int] = {}
     depth = 0
-    for g in gates:
+    for g in circ.gates:
         if g.name not in TWO_QUBIT_GATES:
             continue
         weight = 3 if g.name == "SWAP" else 1
@@ -143,7 +142,7 @@ def metrics(circ) -> dict:
         end = max(frontier.get(a, 0), frontier.get(b, 0)) + weight
         frontier[a] = frontier[b] = end
         depth = max(depth, end)
-    return {"two_qubit_count": count, "two_qubit_depth": depth, "total_ops": len(gates)}
+    return {"two_qubit_count": count, "two_qubit_depth": depth, "total_ops": len(circ.gates)}
 
 
 def _as_physical(obj):
@@ -175,14 +174,14 @@ def _angles(gates, forms: list[int]) -> dict[int, float]:
     return angles
 
 
-def _is_global_phase(angles_a: dict[int, float], angles_b: dict[int, float], tol: float) -> bool:
+def _is_global_phase(angles_a: dict[int, float], angles_b: dict[int, float]) -> bool:
     residues = {}
     for mask in angles_a.keys() | angles_b.keys():
         diff = angles_a.get(mask, 0.0) - angles_b.get(mask, 0.0)
         diff -= np.pi * round(diff / np.pi)
         if mask and diff:
             residues[mask] = diff
-    if sum(abs(r) for r in residues.values()) <= tol / 2:
+    if sum(abs(r) for r in residues.values()) <= PHASE_TOLERANCE / 2:
         return True
     # |1 - e^{-i delta}| = 2 |sin(delta / 2)|, computed in the table itself
     # so the check peaks where the transform does
@@ -190,10 +189,10 @@ def _is_global_phase(angles_a: dict[int, float], angles_b: dict[int, float], tol
     table -= table[0]
     table *= 0.5
     np.sin(table, out=table)
-    return bool(2 * np.abs(table, out=table).max() <= tol)
+    return bool(2 * np.abs(table, out=table).max() <= PHASE_TOLERANCE)
 
 
-def verify_equivalence(a, b, tol: float = 1e-8) -> bool:
+def verify_equivalence(a, b) -> bool:
     """Do two circuits act identically (up to one global phase)?
 
     Accepts CircuitIR or CompiledCircuit; compiled circuits are compared
@@ -207,11 +206,11 @@ def verify_equivalence(a, b, tol: float = 1e-8) -> bool:
     d_S of their angle maps (theta/2 summed per mask S) is a global phase.
     For that, each nonzero-mask d_S is reduced modulo pi, since a multiple
     of pi shifts every basis state's phase by the same amount mod 2 pi.  If
-    the residues sum to at most tol/2, no relative phase moves by more than
-    tol.  Otherwise one Walsh-Hadamard transform over the residues' support
-    (within _dense.MEMORY_BUDGET) gives every relative phase
-    delta(x), and the segments agree when each |1 - e^{-i delta(x)}| is at
-    most tol, measured from x = 0.  ``tol`` applies per segment.  After the
+    the residues sum to at most tol/2, tol = ``PHASE_TOLERANCE``, no relative
+    phase moves by more than tol.  Otherwise one Walsh-Hadamard transform over
+    the residues' support (within _dense.MEMORY_BUDGET) gives every relative
+    phase delta(x), and the segments agree when each |1 - e^{-i delta(x)}| is
+    at most tol, measured from x = 0.  tol applies per segment.  After the
     last segment, the forms at the final layouts must match and every
     other wire must end at the form 0.
 
@@ -269,4 +268,4 @@ def verify_equivalence(a, b, tol: float = 1e-8) -> bool:
         forms_b[out_b[q]] for q in range(n_logical)
     ]:
         return False
-    return all(_is_global_phase(angles_a, angles_b, tol) for angles_a, angles_b in segments)
+    return all(_is_global_phase(angles_a, angles_b) for angles_a, angles_b in segments)

@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import encoding, maxsat
+from . import encoding, graphs, maxsat
 from .encoding import HuboLayout, QuboLayout, decode_hubo, decode_qubo, encode_hubo, encode_qubo
 from .errors import ConfigError, DomainError, SizeCapError
 from .graphs import (
@@ -31,7 +31,7 @@ from .graphs import (
     graph_to_dict,
     walk_cost,
 )
-from .ising import to_ising
+from .ising import IsingPolynomial, to_ising
 from .noise import p_good, required_shots
 from .polynomials import BinaryPolynomial
 from .qaoa import RunConfig, initial_prior, iterative_qaoa, lr_schedule, sweep
@@ -99,7 +99,9 @@ def _resolve_schedule(kind: str, dbeta, dgamma) -> tuple[float, float]:
     )
 
 
-def _encode(g: OrientedGraph, kind: str, length: int | None, args) -> tuple[BinaryPolynomial, dict]:
+def _encode(
+    g: OrientedGraph, kind: str, length: int | None, args
+) -> tuple[BinaryPolynomial, dict, QuboLayout | HuboLayout]:
     T = default_walk_length(g) if length is None else length
     if kind == "qubo":
         poly = encode_qubo(g, T, args.one_hot_penalty, args.edge_penalty)
@@ -111,7 +113,7 @@ def _encode(g: OrientedGraph, kind: str, length: int | None, args) -> tuple[Bina
         meta = {"kind": "hubo", "T": T, "N": g.node_count, "bits_per_step": layout.bits_per_step}
     else:
         raise ConfigError(f"unknown encoding kind {kind!r}")
-    return poly, meta
+    return poly, meta, layout
 
 
 def _layout_from_meta(meta) -> QuboLayout | HuboLayout:
@@ -177,16 +179,14 @@ def cmd_oracle(args) -> int:
 
 def cmd_encode(args) -> int:
     g = graph_from_dict(_load_json(args.graph))
-    poly, meta = _encode(g, args.kind, args.length, args)
+    poly, meta, _ = _encode(g, args.kind, args.length, args)
     data = poly.to_dict()
     data["meta"] = meta
     _write_json(data, args.output)
     return EXIT_OK
 
 
-def _run_solve(g: OrientedGraph, poly: BinaryPolynomial, meta: dict, args, run_seed: int):
-    layout = _layout_from_meta(meta)
-    kind = meta["kind"]
+def _run_solve(g: OrientedGraph, h: IsingPolynomial, kind: str, layout, args, run_seed: int):
     dbeta, dgamma = _resolve_schedule(kind, args.dbeta, args.dgamma)
     config = RunConfig(
         p=args.p,
@@ -202,11 +202,7 @@ def _run_solve(g: OrientedGraph, poly: BinaryPolynomial, meta: dict, args, run_s
         config.validate()
     except DomainError as exc:  # a bad run setting is a bad flag or config key
         raise ConfigError(str(exc)) from exc
-    h = to_ising(poly)
-    record = iterative_qaoa(
-        h, kind, config, layout=layout, decoder=_decoder(kind, layout, g)
-    )
-    return record
+    return iterative_qaoa(h, kind, config, layout=layout, decoder=_decoder(kind, layout, g))
 
 
 def cmd_solve(args) -> int:
@@ -219,10 +215,11 @@ def cmd_solve(args) -> int:
         g = graph_from_dict(_load_json(args.graph))
         poly = BinaryPolynomial.from_dict(data)
         meta = data["meta"]
+        layout = _layout_from_meta(meta)
     else:
         g = graph_from_dict(data)
-        poly, meta = _encode(g, args.kind, args.length, args)
-    record = _run_solve(g, poly, meta, args, args.run_seed)
+        poly, meta, layout = _encode(g, args.kind, args.length, args)
+    record = _run_solve(g, to_ising(poly), meta["kind"], layout, args, args.run_seed)
     _write_json(record.to_dict(), args.output)
     if args.hist:
         with open(args.hist, "w") as fh:
@@ -253,14 +250,13 @@ def _parse_grid_axis(spec: str, flag: str) -> list[float]:
 
 
 def _sweep_chunk(payload):
-    poly, meta, grid, ps = payload
-    prior = initial_prior(meta["kind"], _layout_from_meta(meta))
-    return sweep(to_ising(poly), prior, grid, ps)
+    return sweep(*payload)  # (h, prior, grid, ps)
 
 
 def cmd_sweep(args) -> int:
     g = _load_instance(args)
-    poly, meta = _encode(g, args.kind, args.length, args)
+    poly, meta, layout = _encode(g, args.kind, args.length, args)
+    h, prior = to_ising(poly), initial_prior(meta["kind"], layout)
     ps = _parse_int_list(args.p, "--p")
     grid = [
         (b, c)
@@ -268,7 +264,7 @@ def cmd_sweep(args) -> int:
         for c in _parse_grid_axis(args.dgammas, "--dgammas")
     ]
     workers = _workers(len(grid))
-    chunks = [(poly, meta, grid[i::workers], ps) for i in range(workers)]
+    chunks = [(h, prior, grid[i::workers], ps) for i in range(workers)]
     rows = sorted(row for part in _pool_map(_sweep_chunk, chunks) for row in part)
     lines = ["p,dbeta,dgamma,p_opt"]
     for p, dbeta, dgamma, popt in rows:
@@ -294,12 +290,12 @@ def _parse_topology(spec: str):
 
 def cmd_compile(args) -> int:
     g = _load_instance(args)
-    poly, meta = _encode(g, args.kind, args.length, args)
+    poly, meta, layout = _encode(g, args.kind, args.length, args)
     h = to_ising(poly)
     kind = meta["kind"]
     dbeta, dgamma = _resolve_schedule(kind, args.dbeta, args.dgamma)
     schedule = lr_schedule(args.p, dbeta, dgamma)
-    prior = initial_prior(kind, _layout_from_meta(meta))
+    prior = initial_prior(kind, layout)
     logical = qaoa_circuit(h, schedule, prior)
     topo = _parse_topology(args.topology)
     if args.wcnf_out:
@@ -438,8 +434,8 @@ class ExperimentConfig:
 
 
 def _pipeline_one(payload):
-    g, poly, meta, cfg, run_seed = payload
-    return _run_solve(g, poly, meta, cfg, run_seed).to_dict()
+    g, h, kind, layout, cfg, run_seed = payload
+    return _run_solve(g, h, kind, layout, cfg, run_seed).to_dict()
 
 
 def cmd_pipeline(args) -> int:
@@ -451,9 +447,10 @@ def cmd_pipeline(args) -> int:
         cfg = ExperimentConfig(**values)
     cfg.validate()
     g = _load_instance(cfg)
-    poly, meta = _encode(g, cfg.kind, cfg.length, cfg)
+    poly, meta, layout = _encode(g, cfg.kind, cfg.length, cfg)
     oracle_min = enumerate_optimal_walks(g, meta["T"]).min_cost
-    records = _pool_map(_pipeline_one, [(g, poly, meta, cfg, seed) for seed in cfg.seeds])
+    h = to_ising(poly)
+    records = _pool_map(_pipeline_one, [(g, h, cfg.kind, layout, cfg, s) for s in cfg.seeds])
 
     runs = []
     print(f"{'seed':>6} {'best_E':>8} {'oracle':>8} {'found_at':>9} {'walk_cost':>10}")
@@ -518,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("oracle", help="brute-force optimal walks")
     sub.add_argument("graph")
     sub.add_argument("--length", type=int, default=None)
-    sub.add_argument("--cap", type=int, default=10_000_000)
+    sub.add_argument("--cap", type=int, default=graphs.ORACLE_SEQUENCE_CAP)
     sub.set_defaults(func=cmd_oracle)
 
     sub = subs.add_parser("encode", help="encode a graph as a binary polynomial")
@@ -557,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--layout-seed", dest="layout_seed", type=int, default=None)
     sub.add_argument("--wcnf-out", dest="wcnf_out", help="export the layout MAX-SAT instance")
     sub.add_argument("--swap-depth", dest="swap_depth", type=int, default=0)
-    sub.add_argument("--max-order", dest="max_order", type=int, default=6)
+    sub.add_argument("--max-order", dest="max_order", type=int, default=maxsat.DEFAULT_MAX_ORDER)
     sub.add_argument("--circuit-out", dest="circuit_out", help="write the compiled gate list")
     sub.add_argument("-o", "--output", default="-")
     sub.set_defaults(func=cmd_compile)

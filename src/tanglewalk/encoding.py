@@ -203,9 +203,12 @@ class DecodedWalk:
     """
 
     steps: Walk | None
-    feasible: bool
     bad_steps: tuple[int, ...] = ()
     invalid_edges: tuple[int, ...] = ()
+
+    @property
+    def feasible(self) -> bool:
+        return self.steps is not None
 
     @property
     def valid(self) -> bool:
@@ -231,9 +234,9 @@ def decode_qubo(x: Sequence[int], layout: QuboLayout, g: OrientedGraph) -> Decod
         else:
             bad.append(t)
     if bad:
-        return DecodedWalk(None, False, bad_steps=tuple(bad))
+        return DecodedWalk(None, bad_steps=tuple(bad))
     walk = tuple(steps)
-    return DecodedWalk(walk, True, invalid_edges=_edge_flags(g, walk))
+    return DecodedWalk(walk, invalid_edges=_edge_flags(g, walk))
 
 
 def decode_hubo(x: Sequence[int], layout: HuboLayout, g: OrientedGraph) -> DecodedWalk:
@@ -251,6 +254,6 @@ def decode_hubo(x: Sequence[int], layout: HuboLayout, g: OrientedGraph) -> Decod
         else:
             steps.append(value)
     if bad:
-        return DecodedWalk(None, False, bad_steps=tuple(bad))
+        return DecodedWalk(None, bad_steps=tuple(bad))
     walk = tuple(steps)
-    return DecodedWalk(walk, True, invalid_edges=_edge_flags(g, walk))
+    return DecodedWalk(walk, invalid_edges=_edge_flags(g, walk))

@@ -114,13 +114,12 @@ def default_walk_length(g: OrientedGraph) -> int:
 class WalkOracleResult:
     """Outcome of the exhaustive walk search."""
 
-    min_cost: int | None
+    min_cost: int | None  # None when no valid walk exists
     walks: tuple[Walk, ...]
-    status: str  # "ok" or "no-walk"
 
     @property
     def found(self) -> bool:
-        return self.status == "ok"
+        return self.min_cost is not None
 
 
 def enumerate_optimal_walks(
@@ -162,9 +161,7 @@ def enumerate_optimal_walks(
             prefix.pop()
 
     extend(0)
-    if best_cost is None:
-        return WalkOracleResult(None, (), "no-walk")
-    return WalkOracleResult(best_cost, tuple(best), "ok")
+    return WalkOracleResult(best_cost, tuple(best))
 
 
 def generate_tangle(

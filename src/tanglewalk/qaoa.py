@@ -326,13 +326,12 @@ def iterative_qaoa(
     h: IsingPolynomial,
     kind: str,
     config: RunConfig,
-    layout=None,
-    prior: np.ndarray | None = None,
+    layout,
     decoder: Callable[[tuple[int, ...]], dict] | None = None,
 ) -> RunRecord:
     """Run the full feedback loop: simulate, sample, filter, update.
 
-    ``prior`` overrides the layout-derived initial distribution.  When
+    The first iteration starts from ``initial_prior(kind, layout)``.  When
     ``config.target_energy`` is set, the loop halts as soon as any shot
     reaches it, to within ``diagonal``'s rounding bound
     n * eps * (|constant| + sum |coeff|): with non-dyadic coefficients an
@@ -340,10 +339,7 @@ def iterative_qaoa(
     (bits -> dict) fills ``decoded_walk`` for the best assignment seen.
     """
     config.validate()
-    if prior is None:
-        if layout is None:
-            raise DomainError("either a layout or an explicit prior is required")
-        prior = initial_prior(kind, layout)
+    prior = initial_prior(kind, layout)
     _dense._check_memory("simulate", h.num_qubits)
     prior = _checked_prior(h, prior)
     schedule = lr_schedule(config.p, config.dbeta, config.dgamma)

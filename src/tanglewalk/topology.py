@@ -23,7 +23,6 @@ class Topology:
 
     num_qubits: int
     edges: frozenset[Edge]
-    kind: str = "custom"
     _adj: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -92,7 +91,7 @@ def build_topology(kind: str, size) -> Topology:
         n = int(size)
         if n < 1:
             raise DomainError("linear topology needs >= 1 qubit")
-        return Topology(n, frozenset((i, i + 1) for i in range(n - 1)), "linear")
+        return Topology(n, frozenset((i, i + 1) for i in range(n - 1)))
     if kind == "grid":
         rows, cols = (int(size[0]), int(size[1]))
         if rows < 1 or cols < 1:
@@ -105,7 +104,7 @@ def build_topology(kind: str, size) -> Topology:
                     edges.add((q, q + 1))
                 if r + 1 < rows:
                     edges.add((q, q + cols))
-        return Topology(rows * cols, frozenset(edges), "grid")
+        return Topology(rows * cols, frozenset(edges))
     if kind in ("heavy-hex", "heavy_hex"):
         return _heavy_hex(int(size))
     raise DomainError(f"unknown topology kind {kind!r}")
@@ -133,5 +132,5 @@ def _heavy_hex(cells: int) -> Topology:
         below = nxt
         nxt += 1
         edges.add((below, bottom[4 * j + 2]))
-    return Topology(nxt, frozenset(edges), "heavy-hex")
+    return Topology(nxt, frozenset(edges))
 

@@ -21,8 +21,9 @@ CX or SWAP in the input is a ``DomainError``.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ EXHAUSTIVE_LAYOUT_CAP = 5040  # candidate assignments tried exhaustively
 ORDER_CAP = 8  # rotations ordered by exhaustive permutation search
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledCircuit:
     """Topology-respecting circuit plus layout maps and size metrics."""
 
@@ -45,13 +46,15 @@ class CompiledCircuit:
     initial_layout: dict[int, int]
     final_layout: dict[int, int]
     method: str
-    metrics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.circuit.has_multirz:
             raise DomainError("compiled circuits may not contain MULTIRZ gates")
-        if not self.metrics:
-            self.metrics = metrics(self.circuit)
+
+    @functools.cached_property
+    def metrics(self) -> dict:
+        """``circuits.metrics`` of ``circuit``, taken on first read."""
+        return metrics(self.circuit)
 
 
 def cost_layer_gates(h: IsingPolynomial, gamma: float) -> list[Gate]:

@@ -36,6 +36,10 @@ class TestGateValidation:
         with pytest.raises(DomainError):
             Gate("H", (0,))
 
+    def test_lower_case_name_is_unknown(self):
+        with pytest.raises(DomainError, match="unknown gate 'rz'"):
+            Gate("rz", (0,), 0.1)
+
     def test_rotation_needs_angle(self):
         with pytest.raises(DomainError):
             Gate("RZ", (0,))

@@ -16,6 +16,7 @@ from tanglewalk import (
     to_ising,
     walk_cost,
 )
+from tanglewalk import graphs, maxsat
 from tanglewalk.cli import ExperimentConfig, _workers, build_parser, main
 from tanglewalk.graphs import graph_to_dict
 
@@ -428,6 +429,13 @@ class TestPipeline:
             assert args[name] == expected, name
         if argv[0] == "solve":
             assert args["target"] is None
+
+    def test_oracle_and_compile_defaults_are_the_library_constants(self, monkeypatch):
+        monkeypatch.setattr(graphs, "ORACLE_SEQUENCE_CAP", 7)
+        monkeypatch.setattr(maxsat, "DEFAULT_MAX_ORDER", 3)
+        parser = build_parser()
+        assert parser.parse_args(["oracle", "g.json"]).cap == 7
+        assert parser.parse_args(["compile"]).max_order == 3
 
     def test_flags_are_the_config_fields(self):
         # Each pipeline flag must be an ExperimentConfig field and each field

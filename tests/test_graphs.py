@@ -91,9 +91,9 @@ class TestOracle:
         g = OrientedGraph(2, (1, 1), frozenset())
         result = enumerate_optimal_walks(g, 2)
         assert not result.found
-        assert result.status == "no-walk"
         assert result.walks == ()
         assert result.min_cost is None
+        assert enumerate_optimal_walks(g, 1).found
 
     def test_cap_refusal(self, tangle2):
         with pytest.raises(SizeCapError):

@@ -325,10 +325,10 @@ class TestMemoryRule:
         calls = {
             "diagonal": [lambda: diagonal(h)],
             # a non-equivalent pair: the verifier tabulates every relative phase
-            "parity table": [lambda: _is_global_phase(masks, {}, 1e-8)],
+            "parity table": [lambda: _is_global_phase(masks, {})],
             "simulate": [
                 lambda: simulate(h, prior, lr_schedule(2, 0.5, 0.5)),
-                lambda: iterative_qaoa(h, "hubo", config, prior=prior),
+                lambda: iterative_qaoa(h, "hubo", config, layout=HuboLayout(n, 1)),
             ],
             "sweep": [lambda: sweep(h, prior, [(0.5, 0.5), (0.4, 0.2)], [1, 2])],
         }

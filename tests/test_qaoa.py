@@ -165,7 +165,9 @@ class TestSimulate:
     def test_memory_cap(self):
         over_budget(lambda: simulate(IsingPolynomial(40), np.full(40, 0.5), lr_schedule(1, 1, 1)))
         config = RunConfig(p=1, dbeta=1, dgamma=1, shots=10)
-        over_budget(lambda: iterative_qaoa(IsingPolynomial(40), "hubo", config, prior=np.full(40, 0.5)))
+        over_budget(
+            lambda: iterative_qaoa(IsingPolynomial(40), "hubo", config, layout=HuboLayout(40, 1))
+        )
 
     def test_reused_levels_give_the_same_distribution(self):
         h = random_ising(6, 0, True)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -18,6 +19,7 @@ from tanglewalk import (
     encode_hubo,
     generate_tangle,
     lr_schedule,
+    metrics,
     qaoa_circuit,
     simulate,
     to_ising,
@@ -352,6 +354,28 @@ class TestCompileParity:
         circ = CircuitIR(3, [Gate("MULTIRZ", (0, 1, 2), 0.7)])
         with pytest.raises(DomainError, match=message):
             compile_parity(circ, build_topology("linear", 3), layout=layout)
+
+
+class TestCompiledMetrics:
+    def test_metrics_are_read_from_the_circuit(self, tangle2):
+        h = to_ising(encode_hubo(tangle2, 2))
+        circ = qaoa_circuit(h, lr_schedule(1, 0.75, 0.30), np.full(4, 0.5))
+        compiled = compile_parity(circ, build_topology("linear", 4))
+        assert compiled.metrics == metrics(compiled.circuit)
+        stripped = CircuitIR(4, [g for g in compiled.circuit.gates if g.name != "CX"])
+        copy = dataclasses.replace(compiled, circuit=stripped)
+        assert copy.metrics == metrics(stripped) != compiled.metrics
+
+    def test_compiling_takes_no_census_until_metrics_is_read(self, monkeypatch):
+        layer, h = hubo_cost_layer(4)
+        census = []
+        monkeypatch.setattr(transpile, "metrics", lambda circ: census.append(circ) or metrics(circ))
+        topo = build_topology("linear", h.num_qubits)
+        compiled = [compile_parity(layer, topo), compile_naive(layer, topo)]
+        assert census == []
+        for c in compiled:
+            assert c.metrics == c.metrics == metrics(c.circuit)
+        assert census == [c.circuit for c in compiled]
 
 
 class TestDiagonalRunSelfCheck:

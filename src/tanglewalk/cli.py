@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -101,22 +101,17 @@ def _resolve_schedule(kind: str, dbeta, dgamma) -> tuple[float, float]:
 
 def _encode(
     g: OrientedGraph, kind: str, length: int | None, args
-) -> tuple[BinaryPolynomial, dict, QuboLayout | HuboLayout]:
+) -> tuple[BinaryPolynomial, QuboLayout | HuboLayout]:
     T = default_walk_length(g) if length is None else length
     if kind == "qubo":
         poly = encode_qubo(g, T, args.one_hot_penalty, args.edge_penalty)
-        layout = QuboLayout(T, g.node_count)
-        meta = {"kind": "qubo", "T": T, "N": g.node_count}
-    elif kind == "hubo":
-        poly = encode_hubo(g, T, args.hubo_penalty)
-        layout = HuboLayout.for_graph(g, T)
-        meta = {"kind": "hubo", "T": T, "N": g.node_count, "bits_per_step": layout.bits_per_step}
-    else:
-        raise ConfigError(f"unknown encoding kind {kind!r}")
-    return poly, meta, layout
+        return poly, QuboLayout(T, g.node_count)
+    if kind == "hubo":
+        return encode_hubo(g, T, args.hubo_penalty), HuboLayout.for_graph(g, T)
+    raise ConfigError(f"unknown encoding kind {kind!r}")
 
 
-def _layout_from_meta(meta) -> QuboLayout | HuboLayout:
+def _layout_from_meta(meta, poly: BinaryPolynomial) -> QuboLayout | HuboLayout:
     kind = meta.get("kind") if isinstance(meta, dict) else None
     if kind == "qubo":
         layout, fields = QuboLayout, ("T", "N")
@@ -126,7 +121,12 @@ def _layout_from_meta(meta) -> QuboLayout | HuboLayout:
         raise ConfigError("polynomial file lacks a usable 'meta' block (kind/T/N)")
     if any(type(meta.get(name)) is not int for name in fields):
         raise ConfigError(f"'meta' of kind {kind} needs integer {' and '.join(fields)}")
-    return layout(*(meta[name] for name in fields))
+    layout = layout(*(meta[name] for name in fields))
+    if layout.num_vars != poly.num_vars:
+        raise ConfigError(
+            f"'meta' gives {layout.num_vars} variables, but the polynomial has {poly.num_vars}"
+        )
+    return layout
 
 
 def _decoder(kind: str, layout, g: OrientedGraph):
@@ -179,27 +179,26 @@ def cmd_oracle(args) -> int:
 
 def cmd_encode(args) -> int:
     g = graph_from_dict(_load_json(args.graph))
-    poly, meta, _ = _encode(g, args.kind, args.length, args)
+    poly, layout = _encode(g, args.kind, args.length, args)
     data = poly.to_dict()
-    data["meta"] = meta
+    data["meta"] = {"kind": args.kind, "N": g.node_count, **asdict(layout)}
     _write_json(data, args.output)
     return EXIT_OK
 
 
 def _run_solve(g: OrientedGraph, h: IsingPolynomial, kind: str, layout, args, run_seed: int):
     dbeta, dgamma = _resolve_schedule(kind, args.dbeta, args.dgamma)
-    config = RunConfig(
-        p=args.p,
-        dbeta=dbeta,
-        dgamma=dgamma,
-        shots=args.shots,
-        alpha=args.alpha,
-        iterations=args.iters,
-        seed=run_seed,
-        target_energy=args.target,
-    )
     try:
-        config.validate()
+        config = RunConfig(
+            p=args.p,
+            dbeta=dbeta,
+            dgamma=dgamma,
+            shots=args.shots,
+            alpha=args.alpha,
+            iterations=args.iters,
+            seed=run_seed,
+            target_energy=args.target,
+        )
     except DomainError as exc:  # a bad run setting is a bad flag or config key
         raise ConfigError(str(exc)) from exc
     return iterative_qaoa(h, kind, config, layout=layout, decoder=_decoder(kind, layout, g))
@@ -214,12 +213,13 @@ def cmd_solve(args) -> int:
             raise ConfigError("solving an encoded polynomial requires --graph for decoding")
         g = graph_from_dict(_load_json(args.graph))
         poly = BinaryPolynomial.from_dict(data)
-        meta = data["meta"]
-        layout = _layout_from_meta(meta)
+        layout = _layout_from_meta(data["meta"], poly)
+        kind = data["meta"]["kind"]
     else:
         g = graph_from_dict(data)
-        poly, meta, layout = _encode(g, args.kind, args.length, args)
-    record = _run_solve(g, to_ising(poly), meta["kind"], layout, args, args.run_seed)
+        poly, layout = _encode(g, args.kind, args.length, args)
+        kind = args.kind
+    record = _run_solve(g, to_ising(poly), kind, layout, args, args.run_seed)
     _write_json(record.to_dict(), args.output)
     if args.hist:
         with open(args.hist, "w") as fh:
@@ -255,8 +255,8 @@ def _sweep_chunk(payload):
 
 def cmd_sweep(args) -> int:
     g = _load_instance(args)
-    poly, meta, layout = _encode(g, args.kind, args.length, args)
-    h, prior = to_ising(poly), initial_prior(meta["kind"], layout)
+    poly, layout = _encode(g, args.kind, args.length, args)
+    h, prior = to_ising(poly), initial_prior(args.kind, layout)
     ps = _parse_int_list(args.p, "--p")
     grid = [
         (b, c)
@@ -290,12 +290,11 @@ def _parse_topology(spec: str):
 
 def cmd_compile(args) -> int:
     g = _load_instance(args)
-    poly, meta, layout = _encode(g, args.kind, args.length, args)
+    poly, layout = _encode(g, args.kind, args.length, args)
     h = to_ising(poly)
-    kind = meta["kind"]
-    dbeta, dgamma = _resolve_schedule(kind, args.dbeta, args.dgamma)
+    dbeta, dgamma = _resolve_schedule(args.kind, args.dbeta, args.dgamma)
     schedule = lr_schedule(args.p, dbeta, dgamma)
-    prior = initial_prior(kind, layout)
+    prior = initial_prior(args.kind, layout)
     logical = qaoa_circuit(h, schedule, prior)
     topo = _parse_topology(args.topology)
     if args.wcnf_out:
@@ -356,7 +355,8 @@ class ExperimentConfig:
     """Settings of an end-to-end run.
 
     The fields are the ``pipeline`` flags and config-file keys: their
-    names, types and defaults are declared here and nowhere else.
+    names, types and defaults are declared here and nowhere else.  A value
+    of the wrong type or domain raises ConfigError when the config is built.
     """
 
     seed: int = 1
@@ -422,7 +422,7 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
         return cls(**values)
 
-    def validate(self):
+    def __post_init__(self):
         for key, hint in get_type_hints(type(self)).items():
             value = getattr(self, key)
             if not _has_type(value, hint):
@@ -445,10 +445,9 @@ def cmd_pipeline(args) -> int:
         values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
         values["seeds"] = _parse_int_list(args.seeds, "--seeds")
         cfg = ExperimentConfig(**values)
-    cfg.validate()
     g = _load_instance(cfg)
-    poly, meta, layout = _encode(g, cfg.kind, cfg.length, cfg)
-    oracle_min = enumerate_optimal_walks(g, meta["T"]).min_cost
+    poly, layout = _encode(g, cfg.kind, cfg.length, cfg)
+    oracle_min = enumerate_optimal_walks(g, layout.T).min_cost
     h = to_ising(poly)
     records = _pool_map(_pipeline_one, [(g, h, cfg.kind, layout, cfg, s) for s in cfg.seeds])
 

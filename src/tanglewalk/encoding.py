@@ -81,6 +81,16 @@ class HuboLayout:
         return cls(T, max(1, (2 * g.node_count - 1).bit_length()))
 
 
+def _add_square(poly: BinaryPolynomial, variables: list[int], target, scale):
+    """Add scale * (sum of ``variables`` - target)^2, reduced with x^2 = x on bits."""
+    poly.add_term((), scale * target * target)
+    for v in variables:
+        poly.add_term((v,), scale * (1 - 2 * target))
+    for i, u in enumerate(variables):
+        for v in variables[i + 1 :]:
+            poly.add_term((u, v), scale * 2)
+
+
 def encode_qubo(
     g: OrientedGraph,
     T: int,
@@ -103,13 +113,7 @@ def encode_qubo(
     top = g.num_oriented
 
     for t in range(1, T + 1):
-        step_vars = [layout.var(t, a) for a in range(top)]
-        poly.add_term((), one_hot_penalty)
-        for v in step_vars:
-            poly.add_term((v,), -one_hot_penalty)  # x^2 - 2x = -x on bits
-        for i, u in enumerate(step_vars):
-            for v in step_vars[i + 1 :]:
-                poly.add_term((u, v), 2 * one_hot_penalty)
+        _add_square(poly, [layout.var(t, a) for a in range(top)], 1, one_hot_penalty)
 
     for t in range(1, T):
         poly.add_term((), edge_penalty)
@@ -117,16 +121,8 @@ def encode_qubo(
             poly.add_term((layout.var(t, a), layout.var(t + 1, b)), -edge_penalty)
 
     for node in range(g.node_count):
-        w = g.weights[node]
-        node_vars = [
-            layout.var(t, 2 * node + o) for t in range(1, T + 1) for o in (0, 1)
-        ]
-        poly.add_term((), w * w)
-        for v in node_vars:
-            poly.add_term((v,), 1 - 2 * w)
-        for i, u in enumerate(node_vars):
-            for v in node_vars[i + 1 :]:
-                poly.add_term((u, v), 2)
+        node_vars = [layout.var(t, 2 * node + o) for t in range(1, T + 1) for o in (0, 1)]
+        _add_square(poly, node_vars, g.weights[node], 1)
     return poly
 
 
@@ -215,10 +211,13 @@ class DecodedWalk:
         return self.feasible and not self.invalid_edges
 
 
-def _edge_flags(g: OrientedGraph, steps: Walk) -> tuple[int, ...]:
-    return tuple(
-        t + 1 for t, (a, b) in enumerate(zip(steps, steps[1:])) if not g.has_edge(a, b)
-    )
+def _decoded(g: OrientedGraph, steps: list[int], bad: list[int]) -> DecodedWalk:
+    """The walk ``steps`` with its missing edges flagged, or infeasible at steps ``bad``."""
+    if bad:
+        return DecodedWalk(None, bad_steps=tuple(bad))
+    walk = tuple(steps)
+    invalid = (t + 1 for t, (a, b) in enumerate(zip(walk, walk[1:])) if not g.has_edge(a, b))
+    return DecodedWalk(walk, invalid_edges=tuple(invalid))
 
 
 def decode_qubo(x: Sequence[int], layout: QuboLayout, g: OrientedGraph) -> DecodedWalk:
@@ -233,10 +232,7 @@ def decode_qubo(x: Sequence[int], layout: QuboLayout, g: OrientedGraph) -> Decod
             steps.append(chosen[0])
         else:
             bad.append(t)
-    if bad:
-        return DecodedWalk(None, bad_steps=tuple(bad))
-    walk = tuple(steps)
-    return DecodedWalk(walk, invalid_edges=_edge_flags(g, walk))
+    return _decoded(g, steps, bad)
 
 
 def decode_hubo(x: Sequence[int], layout: HuboLayout, g: OrientedGraph) -> DecodedWalk:
@@ -253,7 +249,4 @@ def decode_hubo(x: Sequence[int], layout: HuboLayout, g: OrientedGraph) -> Decod
             bad.append(t)
         else:
             steps.append(value)
-    if bad:
-        return DecodedWalk(None, bad_steps=tuple(bad))
-    walk = tuple(steps)
-    return DecodedWalk(walk, invalid_edges=_edge_flags(g, walk))
+    return _decoded(g, steps, bad)

@@ -35,11 +35,12 @@ FEEDBACK_TEMPERATURE_END = 0.045
 class QaoaSchedule:
     """Fixed linear-ramp parameters: betas descend, gammas ascend."""
 
-    p: int
     betas: tuple[float, ...]
     gammas: tuple[float, ...]
-    dbeta: float
-    dgamma: float
+
+    @property
+    def p(self) -> int:
+        return len(self.betas)
 
 
 def lr_schedule(p: int, dbeta: float, dgamma: float) -> QaoaSchedule:
@@ -51,7 +52,7 @@ def lr_schedule(p: int, dbeta: float, dgamma: float) -> QaoaSchedule:
     ramp = [(2 * k - 1) / (2 * p) for k in range(1, p + 1)]
     betas = tuple((1 - r) * dbeta for r in ramp)
     gammas = tuple(r * dgamma for r in ramp)
-    return QaoaSchedule(p, betas, gammas, dbeta, dgamma)
+    return QaoaSchedule(betas, gammas)
 
 
 def initial_prior(kind: str, layout) -> np.ndarray:
@@ -136,25 +137,22 @@ def simulate(
 class SampleBatch:
     """Multiset of measured basis states with energies attached.
 
-    Distinct outcomes are stored index-sorted; multiplicities sum to the
-    shot count.
+    Distinct outcomes are stored index-sorted; the shot count is the sum
+    of their multiplicities.
     """
 
     num_qubits: int
     indices: np.ndarray
     counts: np.ndarray
     energies: np.ndarray
-    shots: int
+
+    @property
+    def shots(self) -> int:
+        return int(self.counts.sum())
 
     def bit_matrix(self) -> np.ndarray:
         cols = np.arange(self.num_qubits, dtype=np.uint64)
         return ((self.indices[:, None] >> cols) & 1).astype(np.int8)
-
-    @property
-    def min_energy(self) -> float:
-        if len(self.energies) == 0:
-            raise DomainError("empty batch has no minimum energy")
-        return float(self.energies.min())
 
 
 def sample(probs: np.ndarray, shots: int, seed, levels: tuple) -> SampleBatch:
@@ -182,7 +180,6 @@ def sample(probs: np.ndarray, shots: int, seed, levels: tuple) -> SampleBatch:
         indices=hit.astype(np.uint64),
         counts=counts[hit].astype(np.int64),
         energies=values[index[hit]],
-        shots=shots,
     )
 
 
@@ -212,7 +209,6 @@ def cvar_filter(batch: SampleBatch, alpha: float) -> SampleBatch:
         indices=batch.indices[hit],
         counts=kept_counts[hit],
         energies=batch.energies[hit],
-        shots=keep,
     )
 
 
@@ -238,7 +234,7 @@ def update_prior(
     per qubit gives p_i = (1 - <Z_i>)/2, clipped to [epsilon, 1-epsilon]
     to keep exploring.
     """
-    if batch.shots == 0 or len(batch.indices) == 0:
+    if batch.shots == 0:
         raise DomainError("cannot update prior from an empty batch")
     log_w = -feedback_beta * batch.energies**2
     weights = batch.counts * np.exp(log_w - log_w.max())
@@ -249,7 +245,10 @@ def update_prior(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for one iterative run; seeds make reruns bit-identical."""
+    """Knobs for one iterative run; seeds make reruns bit-identical.
+
+    Out-of-domain knobs raise DomainError when the config is built.
+    """
 
     p: int
     dbeta: float
@@ -261,7 +260,7 @@ class RunConfig:
     epsilon: float = CLIP_EPSILON
     target_energy: float | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.p < 1:
             raise DomainError("p must be >= 1")
         if self.shots < 1:
@@ -338,7 +337,6 @@ def iterative_qaoa(
     optimum can sum to a few ulps above its exact value.  ``decoder``
     (bits -> dict) fills ``decoded_walk`` for the best assignment seen.
     """
-    config.validate()
     prior = initial_prior(kind, layout)
     _dense._check_memory("simulate", h.num_qubits)
     prior = _checked_prior(h, prior)
@@ -356,9 +354,10 @@ def iterative_qaoa(
         kept = cvar_filter(batch, config.alpha)
         fb = beta_t(j, config.iterations)
 
-        iteration_best = int(batch.indices[int(np.argmin(batch.energies))])
-        if batch.min_energy < record.best_energy:
-            record.best_energy = batch.min_energy
+        best = int(np.argmin(batch.energies))
+        iteration_best, best_energy = int(batch.indices[best]), float(batch.energies[best])
+        if best_energy < record.best_energy:
+            record.best_energy = best_energy
             record.best_index = iteration_best
             record.best_bits = _bits_of(iteration_best, h.num_qubits)
         record.iterations.append(
@@ -367,7 +366,7 @@ def iterative_qaoa(
                 feedback_beta=fb,
                 prior=tuple(float(p) for p in prior),
                 histogram=_histogram(batch),
-                best_energy=batch.min_energy,
+                best_energy=best_energy,
                 best_index=iteration_best,
                 kept_shots=kept.shots,
             )
@@ -375,7 +374,7 @@ def iterative_qaoa(
         if (
             config.target_energy is not None
             and record.optimum_iteration is None
-            and batch.min_energy <= config.target_energy + slack
+            and best_energy <= config.target_energy + slack
         ):
             record.optimum_iteration = j
             termination = "optimum_sampled"
@@ -395,10 +394,11 @@ def sweep(
 ) -> list[tuple[int, float, float, float]]:
     """Evaluate p_opt over a (dbeta, dgamma) grid for each circuit depth.
 
-    The optimal set is every state within ``diagonal``'s rounding bound of
-    the minimum energy (the slack ``iterative_qaoa`` allows its target),
-    so optima that non-dyadic coefficients round apart all count.  Rows
-    come back sorted by (p, dbeta, dgamma) regardless of input order.  Each value
+    The optimal set, read from the levels, is every state within
+    ``diagonal``'s rounding bound of the lowest energy (the slack
+    ``iterative_qaoa`` allows its target), so optima that non-dyadic
+    coefficients round apart all count.  Rows come back sorted by
+    (p, dbeta, dgamma) regardless of input order.  Each value
     equals ``p_opt(simulate(...), optimal)`` of ``tests/helpers.py``
     exactly, but the last mixer computes only the optimal amplitudes
     (``_dense._light_cone``).
@@ -406,24 +406,22 @@ def sweep(
     n = h.num_qubits
     _dense._check_memory("sweep", n)
     prior = _checked_prior(h, prior)
-    schedules = [
-        lr_schedule(p, dbeta, dgamma)
-        for p in sorted(set(p_values))
-        for dbeta, dgamma in sorted(set(grid))
+    cells = [
+        (p, dbeta, dgamma) for p in sorted(set(p_values)) for dbeta, dgamma in sorted(set(grid))
     ]
-    energies = diagonal(h)
-    optimal = set(np.flatnonzero(energies <= energies.min() + _rounding_slack(h)).tolist())
+    schedules = [lr_schedule(*cell) for cell in cells]
+    levels, level = _dense._levels(diagonal(h))
+    _dense._check_memory("sweep", n, len(levels))
+    cut = np.searchsorted(levels, levels[0] + _rounding_slack(h), "right")
+    optimal = set(np.flatnonzero(level < cut).tolist())
     targets = sorted(optimal)
     position = {t: j for j, t in enumerate(targets)}
     order = [position[i] for i in set(optimal)]  # tests/helpers.py p_opt's summation order
-    levels, level = _dense._levels(energies)
-    del energies  # the phase comes from the levels from here on
-    _dense._check_memory("sweep", n, len(levels))
     phi = 2 * np.arcsin(np.sqrt(prior))
     state = np.empty(1 << n, dtype=complex)  # refilled for every grid point
     block = np.empty((3, max(1 << n >> 1, 2)), dtype=complex)  # _light_cone's stages
     rows = []
-    for schedule in schedules:
+    for cell, schedule in zip(cells, schedules):
         _dense._product_state(phi, state)
         for layer, (beta, gamma) in enumerate(zip(schedule.betas, schedule.gammas), 1):
             _dense._table_phase(state, gamma, levels, level, block)
@@ -434,5 +432,5 @@ def sweep(
                 _dense._mix_layer(state, gates, block)
         probs = np.abs(amps) ** 2  # an array: NumPy scalars square with other rounding
         popt = float(sum(probs[j] for j in order))
-        rows.append((schedule.p, schedule.dbeta, schedule.dgamma, popt))
+        rows.append((*cell, popt))
     return rows

@@ -388,7 +388,6 @@ def test_criterion_10_schedule_and_update_units():
         indices=hit.astype(np.uint64),
         counts=counts[hit].astype(np.int64),
         energies=rng.normal(size=len(hit)),
-        shots=40_000,
     )
     kept = tw.cvar_filter(batch, 0.1)
     checks.append(kept.shots == 4_000 and kept.counts.sum() == 4_000)
@@ -401,7 +400,6 @@ def test_criterion_10_schedule_and_update_units():
         indices=np.array([2, 3], dtype=np.uint64),
         counts=np.array([1, 1], dtype=np.int64),
         energies=np.array([0.0, 10.0]),
-        shots=2,
     )
     updated = tw.update_prior(worked, 0.015)
     w2 = math.exp(-0.015 * 100.0)

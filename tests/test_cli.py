@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import warnings
@@ -16,7 +17,7 @@ from tanglewalk import (
     to_ising,
     walk_cost,
 )
-from tanglewalk import graphs, maxsat
+from tanglewalk import ConfigError, graphs, maxsat
 from tanglewalk.cli import ExperimentConfig, _workers, build_parser, main
 from tanglewalk.graphs import graph_to_dict
 
@@ -192,8 +193,17 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "meta",
-        [{}, {"kind": "hubo"}, "x", {"kind": "qubo", "T": "3", "N": 2}],
-        ids=["empty", "hubo-without-sizes", "not-an-object", "qubo-T-not-an-integer"],
+        [
+            {},
+            {"kind": "hubo"},
+            "x",
+            {"kind": "qubo", "T": "3", "N": 2},
+            {"kind": "hubo", "T": 9, "N": 2, "bits_per_step": 2},  # 18 variables, not 4
+        ],
+        ids=[
+            "empty", "hubo-without-sizes", "not-an-object", "qubo-T-not-an-integer",
+            "T-of-another-width",
+        ],
     )
     def test_unusable_meta_is_config_error(self, tmp_path, tangle2_file, capsys, meta):
         enc = tmp_path / "enc.json"
@@ -202,7 +212,8 @@ class TestSolve:
         data["meta"] = meta
         enc.write_text(json.dumps(data))
         assert main(["solve", str(enc), "--graph", tangle2_file]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'meta'" in err
 
 
 class TestSweep:
@@ -383,6 +394,10 @@ class TestPipeline:
         assert (parsed.kind, parsed.shots) == ("qubo", 7)
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    def test_unknown_kind_rejected_when_built(self):
+        with pytest.raises(ConfigError, match="kind"):
+            ExperimentConfig(kind="x")
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "exp.toml"
         cfg.write_text("bogus = 3\n")
@@ -555,3 +570,52 @@ def test_json_of_the_wrong_shape_is_domain_error(
     (tmp_path / "bad.json").write_text(json.dumps(data))
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Each command's artifacts on a 2-node instance (8 QUBO or 4 HUBO qubits),
+# pinned: a change on the solve path that moves one output byte fails here.
+# Penalties 0.3 and 0.7 make the Ising coefficients non-dyadic, so the
+# optima's energies round apart and the rounding slack is exercised.
+FLOAT_PENALTIES = ["--one-hot-penalty", "0.3", "--edge-penalty", "0.7", "--hubo-penalty", "0.3"]
+SWEEP_GRID = ["--p", "1,2", "--dbetas", "0.3,0.7", "--dgammas", "0.1,0.3"]
+PINNED_COMMANDS = {  # name -> argv; each writes "-o name", and "name.csv" with --hist
+    "encode-qubo": ["encode", "g.json", "--kind", "qubo"],
+    "encode-hubo": ["encode", "g.json", "--kind", "hubo"],
+    "encode-qubo-float": ["encode", "g.json", "--kind", "qubo", *FLOAT_PENALTIES],
+    "encode-hubo-float": ["encode", "g.json", "--kind", "hubo", *FLOAT_PENALTIES],
+    "solve-graph": ["solve", "g.json", "--kind", "hubo", "--run-seed", "1", "--hist"],
+    "solve-encoded": ["solve", "encode-qubo-float", "--graph", "g.json", "--target", "0", "--hist"],
+    "sweep-hubo": ["sweep", "--graph", "g.json", "--kind", "hubo", *SWEEP_GRID],
+    "sweep-qubo-float": [
+        "sweep", "--graph", "g.json", "--kind", "qubo", *FLOAT_PENALTIES, *SWEEP_GRID,
+    ],
+    "pipeline": [
+        "pipeline", "--seed", "2", "--nodes", "2", "--max-weight", "1", "--kind", "qubo",
+        "--shots", "200", "--seeds", "0,1",
+    ],
+}
+PINNED_DIGESTS = {  # SHA-256 of stdout, then "name", then "name.csv"
+    "encode-qubo": "b61030d559193385bbe62debf965f50b4cbf0a5ab5f9324bfbccda607d0c70f1",
+    "encode-hubo": "379fc328b867c3e9fd24af91186340ce44f9ef531cc6e180fc135ee9cbec5312",
+    "encode-qubo-float": "d3bf593fbe2ae35996161d226c78329b1e11ae7ef0fabf0311fae3cacd979265",
+    "encode-hubo-float": "54be31ebfb757be73bd5cbf2f08af7e586df7cf98f6e2304889e26cd9d046158",
+    "solve-graph": "fdad664825729cb94d5eb0cec97dbef40817436aa5499a4f6fac66d1e0b2b696",
+    "solve-encoded": "c21b62f15b206cc7f52595eff5a23166281e7915d607af9bcf6328fa31ed3d4f",
+    "sweep-hubo": "a2a0b26a95cbd2a65ef2a31881a69f24c083ca41511ca77bc4c57349e583ce08",
+    "sweep-qubo-float": "c42741d8328139f4865f343f595a899da2ba8aabb4d7d36d63aae3e697cbbe43",
+    "pipeline": "8cc75242ad435e4815aa25640300451fb226bc2de79011875c09dd020b6beafe",
+}
+
+
+def test_solver_artifacts_match_pinned_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    main(["generate", "--seed", "2", "--nodes", "2", "--max-weight", "1", "-o", "g.json"])
+    digests = {}
+    for name, argv in PINNED_COMMANDS.items():
+        hist = ["--hist", f"{name}.csv"] if "--hist" in argv else []
+        assert main([*(a for a in argv if a != "--hist"), *hist, "-o", name]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode())  # pipeline's table
+        for path in [name, *hist[1:]]:
+            digest.update((tmp_path / path).read_bytes())
+        digests[name] = digest.hexdigest()
+    assert digests == PINNED_DIGESTS

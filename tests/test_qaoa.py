@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -56,14 +57,12 @@ def over_budget(call):
     assert time.perf_counter() - start < 1
 
 
-def make_batch(indices, counts, energies, n=2, shots=None):
-    counts = np.asarray(counts, dtype=np.int64)
+def make_batch(indices, counts, energies, n=2):
     return SampleBatch(
         num_qubits=n,
         indices=np.asarray(indices, dtype=np.uint64),
-        counts=counts,
+        counts=np.asarray(counts, dtype=np.int64),
         energies=np.asarray(energies, dtype=float),
-        shots=int(counts.sum()) if shots is None else shots,
     )
 
 
@@ -88,6 +87,12 @@ class TestSchedule:
     def test_rejects_p_zero(self):
         with pytest.raises(DomainError):
             lr_schedule(0, 1, 1)
+
+    def test_holds_only_its_layers(self):
+        # p is read from the layers; the ramp inputs are not kept beside them.
+        s = lr_schedule(3, 0.7, 0.4)
+        assert [f.name for f in dataclasses.fields(s)] == ["betas", "gammas"]
+        assert s.p == len(s.betas) == 3
 
     @pytest.mark.parametrize("dbeta,dgamma", [(np.nan, 1), (1, np.inf), (-np.inf, 1)])
     def test_rejects_non_finite_ramp(self, dbeta, dgamma):
@@ -415,6 +420,10 @@ class TestSample:
         batch = sample(np.full(16, 1 / 16), 999, 3, _levels(np.zeros(16)))
         assert batch.counts.sum() == batch.shots == 999
 
+    def test_shots_are_read_from_the_counts(self):
+        batch = make_batch([0, 3], [4, 6], [1.0, 2.0])
+        assert dataclasses.replace(batch, counts=np.array([1, 2])).shots == 3
+
     @pytest.mark.parametrize("bad", [np.nan, -0.25, np.inf])
     def test_invalid_probabilities_rejected(self, bad):
         with pytest.raises(DomainError):
@@ -536,15 +545,15 @@ class TestRunConfigValidate:
             {"dbeta": float("inf")},
             {"dbeta": float("nan")},
             {"dgamma": float("-inf")},
+            {"shots": 0},
         ],
     )
     def test_rejects_out_of_domain_knobs(self, override):
-        config = RunConfig(**{"p": 1, "dbeta": 0.75, "dgamma": 0.3, "shots": 10, **override})
         with pytest.raises(DomainError):
-            config.validate()
+            RunConfig(**{"p": 1, "dbeta": 0.75, "dgamma": 0.3, "shots": 10, **override})
 
     def test_accepts_clip_boundary_zero(self):
-        RunConfig(p=1, dbeta=0.75, dgamma=0.3, shots=10, epsilon=0.0).validate()
+        RunConfig(p=1, dbeta=0.75, dgamma=0.3, shots=10, epsilon=0.0)
 
 
 class TestIterativeQaoa:

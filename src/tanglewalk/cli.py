@@ -99,6 +99,22 @@ def _resolve_schedule(kind: str, dbeta, dgamma) -> tuple[float, float]:
     )
 
 
+def _from_flags(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, where a DomainError is a bad flag or config key: ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _run_config(args, kind: str, run_seed: int) -> RunConfig:
+    dbeta, dgamma = _resolve_schedule(kind, args.dbeta, args.dgamma)
+    return _from_flags(
+        RunConfig, p=args.p, dbeta=dbeta, dgamma=dgamma, shots=args.shots, alpha=args.alpha,
+        iterations=args.iters, seed=run_seed, target_energy=args.target,
+    )
+
+
 def _encode(
     g: OrientedGraph, kind: str, length: int | None, args
 ) -> tuple[BinaryPolynomial, QuboLayout | HuboLayout]:
@@ -186,21 +202,7 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _run_solve(g: OrientedGraph, h: IsingPolynomial, kind: str, layout, args, run_seed: int):
-    dbeta, dgamma = _resolve_schedule(kind, args.dbeta, args.dgamma)
-    try:
-        config = RunConfig(
-            p=args.p,
-            dbeta=dbeta,
-            dgamma=dgamma,
-            shots=args.shots,
-            alpha=args.alpha,
-            iterations=args.iters,
-            seed=run_seed,
-            target_energy=args.target,
-        )
-    except DomainError as exc:  # a bad run setting is a bad flag or config key
-        raise ConfigError(str(exc)) from exc
+def _run_solve(g: OrientedGraph, h: IsingPolynomial, kind: str, layout, config: RunConfig):
     return iterative_qaoa(h, kind, config, layout=layout, decoder=_decoder(kind, layout, g))
 
 
@@ -215,11 +217,13 @@ def cmd_solve(args) -> int:
         poly = BinaryPolynomial.from_dict(data)
         layout = _layout_from_meta(data["meta"], poly)
         kind = data["meta"]["kind"]
+        config = _run_config(args, kind, args.run_seed)
     else:
         g = graph_from_dict(data)
-        poly, layout = _encode(g, args.kind, args.length, args)
         kind = args.kind
-    record = _run_solve(g, to_ising(poly), kind, layout, args, args.run_seed)
+        config = _run_config(args, kind, args.run_seed)
+        poly, layout = _encode(g, kind, args.length, args)
+    record = _run_solve(g, to_ising(poly), kind, layout, config)
     _write_json(record.to_dict(), args.output)
     if args.hist:
         with open(args.hist, "w") as fh:
@@ -255,14 +259,17 @@ def _sweep_chunk(payload):
 
 def cmd_sweep(args) -> int:
     g = _load_instance(args)
-    poly, layout = _encode(g, args.kind, args.length, args)
-    h, prior = to_ising(poly), initial_prior(args.kind, layout)
     ps = _parse_int_list(args.p, "--p")
     grid = [
         (b, c)
         for b in _parse_grid_axis(args.dbetas, "--dbetas")
         for c in _parse_grid_axis(args.dgammas, "--dgammas")
     ]
+    for p in ps:
+        for b, c in grid:
+            _from_flags(lr_schedule, p, b, c)
+    poly, layout = _encode(g, args.kind, args.length, args)
+    h, prior = to_ising(poly), initial_prior(args.kind, layout)
     workers = _workers(len(grid))
     chunks = [(h, prior, grid[i::workers], ps) for i in range(workers)]
     rows = sorted(row for part in _pool_map(_sweep_chunk, chunks) for row in part)
@@ -290,10 +297,10 @@ def _parse_topology(spec: str):
 
 def cmd_compile(args) -> int:
     g = _load_instance(args)
+    dbeta, dgamma = _resolve_schedule(args.kind, args.dbeta, args.dgamma)
+    schedule = _from_flags(lr_schedule, args.p, dbeta, dgamma)
     poly, layout = _encode(g, args.kind, args.length, args)
     h = to_ising(poly)
-    dbeta, dgamma = _resolve_schedule(args.kind, args.dbeta, args.dgamma)
-    schedule = lr_schedule(args.p, dbeta, dgamma)
     prior = initial_prior(args.kind, layout)
     logical = qaoa_circuit(h, schedule, prior)
     topo = _parse_topology(args.topology)
@@ -434,8 +441,7 @@ class ExperimentConfig:
 
 
 def _pipeline_one(payload):
-    g, h, kind, layout, cfg, run_seed = payload
-    return _run_solve(g, h, kind, layout, cfg, run_seed).to_dict()
+    return _run_solve(*payload).to_dict()  # (g, h, kind, layout, config)
 
 
 def cmd_pipeline(args) -> int:
@@ -446,10 +452,11 @@ def cmd_pipeline(args) -> int:
         values["seeds"] = _parse_int_list(args.seeds, "--seeds")
         cfg = ExperimentConfig(**values)
     g = _load_instance(cfg)
+    configs = [_run_config(cfg, cfg.kind, s) for s in cfg.seeds]
     poly, layout = _encode(g, cfg.kind, cfg.length, cfg)
     oracle_min = enumerate_optimal_walks(g, layout.T).min_cost
     h = to_ising(poly)
-    records = _pool_map(_pipeline_one, [(g, h, cfg.kind, layout, cfg, s) for s in cfg.seeds])
+    records = _pool_map(_pipeline_one, [(g, h, cfg.kind, layout, c) for c in configs])
 
     runs = []
     print(f"{'seed':>6} {'best_E':>8} {'oracle':>8} {'found_at':>9} {'walk_cost':>10}")
@@ -524,7 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_encode)
 
     sub = subs.add_parser("solve", help="iterative QAOA on a graph or encoded polynomial")
-    sub.add_argument("input", help="graph JSON or encoded polynomial JSON")
+    sub.add_argument(
+        "input",
+        help="graph JSON or encoded polynomial JSON; a polynomial's 'meta' and terms fix its"
+        " kind, length and penalties, so the encoding flags do nothing for it",
+    )
     sub.add_argument("--graph", help="graph file when the input is a polynomial")
     _add_encode_flags(sub)
     _add_run_flags(sub)

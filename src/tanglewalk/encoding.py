@@ -104,11 +104,9 @@ def encode_qubo(
       * edge following: penalty * sum_t (1 - sum_{(a,b) in E} x[t,a] x[t+1,b])
       * frequency: sum_v (sum_t x[t,2v] + x[t,2v+1] - w(v))^2
     """
-    if T < 1:
-        raise DomainError(f"T must be >= 1, got {T}")
+    layout = QuboLayout(T, g.node_count)
     if one_hot_penalty <= 0 or edge_penalty <= 0:
         raise DomainError("penalty multipliers must be positive")
-    layout = QuboLayout(T, g.node_count)
     poly = BinaryPolynomial(layout.num_vars)
     top = g.num_oriented
 
@@ -159,11 +157,9 @@ def encode_hubo(
     Out-of-range step values (2N <= X_t < 2^n) are penalised implicitly:
     no indicator fires, so the edge bracket contributes its full penalty.
     """
-    if T < 1:
-        raise DomainError(f"T must be >= 1, got {T}")
+    layout = HuboLayout.for_graph(g, T)
     if edge_penalty <= 0:
         raise DomainError("edge penalty must be positive")
-    layout = HuboLayout.for_graph(g, T)
     poly = BinaryPolynomial(layout.num_vars)
 
     indicators: dict[tuple[int, int], BinaryPolynomial] = {}

@@ -33,7 +33,7 @@ FEEDBACK_TEMPERATURE_END = 0.045
 
 @dataclass(frozen=True)
 class QaoaSchedule:
-    """Fixed linear-ramp parameters: betas descend, gammas ascend."""
+    """Fixed linear-ramp parameters (``lr_schedule``): betas descend, gammas ascend."""
 
     betas: tuple[float, ...]
     gammas: tuple[float, ...]
@@ -77,19 +77,31 @@ def _mixer_matrix(beta: float, phi: float) -> np.ndarray:
 
 
 def _checked_prior(h: IsingPolynomial, prior: Sequence[float]) -> np.ndarray:
+    """Each qubit's mixer angle phi = 2 arcsin(sqrt(p)) from its bit-flip probability p."""
     n = h.num_qubits
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (n,):
         raise DomainError(f"prior must have {n} entries, got shape {prior.shape}")
     if not np.all((prior >= 0) & (prior <= 1)):
         raise DomainError("prior probabilities must lie in [0, 1]")
-    return prior
+    return 2 * np.arcsin(np.sqrt(prior))
 
 
 def _checked_levels(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
     values, index = levels
     if index.shape != (1 << n,) or index.dtype.kind != "u" or index.max() >= len(values):
         raise DomainError(f"levels must map {1 << n} states to one of its {len(values)} energies")
+    return values, index
+
+
+def _energy_levels(h: IsingPolynomial, path: str, levels=None) -> tuple[np.ndarray, np.ndarray]:
+    """``_dense._levels(diagonal(h))``, or ``levels`` checked, within ``path``'s memory charge."""
+    n = h.num_qubits
+    _dense._check_memory(path, n)
+    if levels is None:
+        levels = _dense._levels(diagonal(h))
+    values, index = _checked_levels(levels, n)
+    _dense._check_memory(path, n, len(values))
     return values, index
 
 
@@ -101,6 +113,22 @@ def _layer_gates(beta: float, phi: np.ndarray) -> list[np.ndarray]:
     angles, which = np.unique(phi.view(np.uint64), return_inverse=True)
     matrices = [_mixer_matrix(beta, angle) for angle in angles.view(float)]
     return [matrices[i] for i in which.tolist()]
+
+
+def _layers(state, phi, schedule: QaoaSchedule, levels, level, block) -> list[np.ndarray]:
+    """Run ``schedule`` in place on the product state of ``phi``, up to its last mixer.
+
+    Returns that mixer's gates (none for no layers), for ``_dense._mix_layer``
+    or ``_dense._light_cone``.
+    """
+    _dense._product_state(phi, state)
+    gates = []
+    for beta, gamma in zip(schedule.betas, schedule.gammas):
+        if gates:
+            _dense._mix_layer(state, gates, block)
+        _dense._table_phase(state, gamma, levels, level, block)
+        gates = _layer_gates(beta, phi)
+    return gates
 
 
 def simulate(
@@ -115,19 +143,11 @@ def simulate(
     passed to reuse ``_dense._levels(diagonal(h))`` across calls.
     """
     n = h.num_qubits
-    _dense._check_memory("simulate", n)
-    prior = _checked_prior(h, prior)
-    if levels is None:
-        levels = _dense._levels(diagonal(h))
-    values, index = _checked_levels(levels, n)
-    _dense._check_memory("simulate", n, len(values))
-
-    phi = 2 * np.arcsin(np.sqrt(prior))
-    state = _dense._product_state(phi, np.empty(1 << n, dtype=complex))
+    phi = _checked_prior(h, prior)
+    values, index = _energy_levels(h, "simulate", levels)
+    state = np.empty(1 << n, dtype=complex)
     block = _dense._scratch(n)
-    for beta, gamma in zip(schedule.betas, schedule.gammas):
-        _dense._table_phase(state, gamma, values, index, block)
-        _dense._mix_layer(state, _layer_gates(beta, phi), block)
+    _dense._mix_layer(state, _layers(state, phi, schedule, values, index, block), block)
     del block
     probs = np.abs(state)
     return np.square(probs, out=probs)  # in place, rounded as ``probs ** 2``
@@ -247,7 +267,8 @@ def update_prior(
 class RunConfig:
     """Knobs for one iterative run; seeds make reruns bit-identical.
 
-    Out-of-domain knobs raise DomainError when the config is built.
+    Out-of-domain knobs raise DomainError when the config is built;
+    ``lr_schedule`` checks p, dbeta and dgamma.
     """
 
     p: int
@@ -261,8 +282,7 @@ class RunConfig:
     target_energy: float | None = None
 
     def __post_init__(self):
-        if self.p < 1:
-            raise DomainError("p must be >= 1")
+        lr_schedule(self.p, self.dbeta, self.dgamma)
         if self.shots < 1:
             raise DomainError("shots must be >= 1")
         if not 0 < self.alpha <= 1:
@@ -271,8 +291,6 @@ class RunConfig:
             raise DomainError("iterations must be >= 1")
         if not 0 <= self.epsilon < 0.5:
             raise DomainError(f"epsilon must lie in [0, 0.5), got {self.epsilon}")
-        if not (math.isfinite(self.dbeta) and math.isfinite(self.dgamma)):
-            raise DomainError("dbeta and dgamma must be finite")
 
 
 @dataclass
@@ -338,10 +356,9 @@ def iterative_qaoa(
     (bits -> dict) fills ``decoded_walk`` for the best assignment seen.
     """
     prior = initial_prior(kind, layout)
-    _dense._check_memory("simulate", h.num_qubits)
-    prior = _checked_prior(h, prior)
+    _checked_prior(h, prior)  # before the diagonal
     schedule = lr_schedule(config.p, config.dbeta, config.dgamma)
-    levels = _dense._levels(diagonal(h))  # every iteration's phase table and energies
+    levels = _energy_levels(h, "simulate")  # every iteration's phase table and energies
     slack = _rounding_slack(h)
     seeds = np.random.SeedSequence(config.seed).spawn(config.iterations)
 
@@ -404,32 +421,23 @@ def sweep(
     (``_dense._light_cone``).
     """
     n = h.num_qubits
-    _dense._check_memory("sweep", n)
-    prior = _checked_prior(h, prior)
+    phi = _checked_prior(h, prior)
     cells = [
         (p, dbeta, dgamma) for p in sorted(set(p_values)) for dbeta, dgamma in sorted(set(grid))
     ]
     schedules = [lr_schedule(*cell) for cell in cells]
-    levels, level = _dense._levels(diagonal(h))
-    _dense._check_memory("sweep", n, len(levels))
+    levels, level = _energy_levels(h, "sweep")
     cut = np.searchsorted(levels, levels[0] + _rounding_slack(h), "right")
     optimal = set(np.flatnonzero(level < cut).tolist())
     targets = sorted(optimal)
     position = {t: j for j, t in enumerate(targets)}
     order = [position[i] for i in set(optimal)]  # tests/helpers.py p_opt's summation order
-    phi = 2 * np.arcsin(np.sqrt(prior))
     state = np.empty(1 << n, dtype=complex)  # refilled for every grid point
     block = np.empty((3, max(1 << n >> 1, 2)), dtype=complex)  # _light_cone's stages
     rows = []
     for cell, schedule in zip(cells, schedules):
-        _dense._product_state(phi, state)
-        for layer, (beta, gamma) in enumerate(zip(schedule.betas, schedule.gammas), 1):
-            _dense._table_phase(state, gamma, levels, level, block)
-            gates = _layer_gates(beta, phi)
-            if layer == schedule.p:
-                amps = _dense._light_cone(state, gates, targets, block)
-            else:
-                _dense._mix_layer(state, gates, block)
+        gates = _layers(state, phi, schedule, levels, level, block)
+        amps = _dense._light_cone(state, gates, targets, block)
         probs = np.abs(amps) ** 2  # an array: NumPy scalars square with other rounding
         popt = float(sum(probs[j] for j in order))
         rows.append((*cell, popt))

@@ -9,6 +9,7 @@ would continue), so the maximum degree is 3 even for a single cell.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -17,9 +18,9 @@ from .errors import DomainError
 Edge = tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
-    """Undirected, connected coupling graph."""
+    """Undirected, connected coupling graph; frozen, so its cached ``hops`` cannot go stale."""
 
     num_qubits: int
     edges: frozenset[Edge]
@@ -35,12 +36,12 @@ class Topology:
             if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
                 raise DomainError(f"edge ({a}, {b}) outside qubit range")
             canon.add((min(a, b), max(a, b)))
-        self.edges = frozenset(canon)
+        object.__setattr__(self, "edges", frozenset(canon))
         adj: dict[int, list[int]] = {q: [] for q in range(self.num_qubits)}
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        self._adj = {q: tuple(sorted(ns)) for q, ns in adj.items()}
+        object.__setattr__(self, "_adj", {q: tuple(sorted(ns)) for q, ns in adj.items()})
         if len(self.distances_from(0)) != self.num_qubits:
             raise DomainError("topology must be connected")
 
@@ -79,6 +80,12 @@ class Topology:
                     dist[nb] = dist[cur] + 1
                     frontier.append(nb)
         return dist
+
+    @functools.cached_property
+    def hops(self) -> list[list[int]]:
+        """All-pairs hop counts, built on first read: ``hops[a][b]`` is the distance from a to b."""
+        n = self.num_qubits
+        return [[row[q] for q in range(n)] for row in map(self.distances_from, range(n))]
 
 
 def build_topology(kind: str, size) -> Topology:

@@ -80,7 +80,7 @@ def qaoa_circuit(
     sequence Ry(-phi), Rz(-2 beta), Ry(phi).
     """
     n = h.num_qubits
-    phi = 2 * np.arcsin(np.sqrt(_checked_prior(h, prior)))
+    phi = _checked_prior(h, prior)
     circ = CircuitIR(n)
     for q in range(n):
         circ.append("RY", (q,), float(phi[q]))
@@ -97,29 +97,15 @@ def qaoa_circuit(
 # Layout bookkeeping and naive compilation
 
 
-class _Placement:
-    """Mutable logical <-> physical assignment."""
-
-    def __init__(self, layout: dict[int, int]):
-        self.l2p = dict(layout)
-        self.p2l: dict[int, int] = {p: l for l, p in self.l2p.items()}
-
-    def swap_physical(self, a: int, b: int):
-        la, lb = self.p2l.pop(a, None), self.p2l.pop(b, None)
-        if la is not None:
-            self.l2p[la] = b
-            self.p2l[b] = la
-        if lb is not None:
-            self.l2p[lb] = a
-            self.p2l[a] = lb
-
-
-def _route_adjacent(topo: Topology, place: _Placement, moving: int, target: int, out: list[Gate]):
-    """SWAP the qubit holding ``moving`` along a shortest path until coupled."""
-    while not topo.coupled(place.l2p[moving], place.l2p[target]):
-        path = topo.shortest_path(place.l2p[moving], {place.l2p[target]})
-        out.append(Gate("SWAP", (path[0], path[1])))
-        place.swap_physical(path[0], path[1])
+def _route_adjacent(topo: Topology, l2p: dict, p2l: dict, moving: int, target: int, out: list):
+    """SWAP ``moving`` along a shortest path until coupled, updating ``l2p`` and its inverse."""
+    while not topo.coupled(l2p[moving], l2p[target]):
+        here, step = topo.shortest_path(l2p[moving], {l2p[target]})[:2]
+        out.append(Gate("SWAP", (here, step)))
+        other = p2l.get(step)  # the logical qubit moved back, or None
+        p2l[here], p2l[step], l2p[moving] = other, moving, step
+        if other is not None:
+            l2p[other] = here
 
 
 def compile_naive(
@@ -128,33 +114,33 @@ def compile_naive(
     """Baseline: CX ladders for every rotation, shortest-path SWAP routing."""
     _check_input(circ, topo)
     initial_layout = _initial_layout(circ, topo, layout_seed)
-    place = _Placement(initial_layout)
+    l2p, p2l = dict(initial_layout), {p: q for q, p in initial_layout.items()}
     out: list[Gate] = []
     for g in circ.gates:
         if g.name in ("RY", "RZ"):
-            out.append(Gate(g.name, (place.l2p[g.qubits[0]],), g.theta))
+            out.append(Gate(g.name, (l2p[g.qubits[0]],), g.theta))
         elif len(g.qubits) == 2:  # RZZ, or a two-qubit MULTIRZ
             a, b = g.qubits
-            _route_adjacent(topo, place, a, b, out)
-            out.append(Gate("RZZ", (place.l2p[a], place.l2p[b]), g.theta))
+            _route_adjacent(topo, l2p, p2l, a, b, out)
+            out.append(Gate("RZZ", (l2p[a], l2p[b]), g.theta))
         else:
             # CX ladder over logical pairs (none for a one-qubit MULTIRZ);
             # each leg is routed at its current positions, so the mirror
             # stays correct even when routing for a later leg has moved
             # qubits in between.
-            order = sorted(g.qubits, key=lambda q: place.l2p[q])
+            order = sorted(g.qubits, key=lambda q: l2p[q])
             ladder = list(zip(order, order[1:]))
             for prev, cur in ladder:
-                _route_adjacent(topo, place, prev, cur, out)
-                out.append(Gate("CX", (place.l2p[prev], place.l2p[cur])))
-            out.append(Gate("RZ", (place.l2p[order[-1]],), g.theta))
+                _route_adjacent(topo, l2p, p2l, prev, cur, out)
+                out.append(Gate("CX", (l2p[prev], l2p[cur])))
+            out.append(Gate("RZ", (l2p[order[-1]],), g.theta))
             for prev, cur in reversed(ladder):
-                _route_adjacent(topo, place, prev, cur, out)
-                out.append(Gate("CX", (place.l2p[prev], place.l2p[cur])))
+                _route_adjacent(topo, l2p, p2l, prev, cur, out)
+                out.append(Gate("CX", (l2p[prev], l2p[cur])))
     return CompiledCircuit(
         CircuitIR(topo.num_qubits, out),
         initial_layout=initial_layout,
-        final_layout=dict(place.l2p),
+        final_layout=l2p,
         method="naive",
     )
 
@@ -187,12 +173,6 @@ def _initial_layout(circ: CircuitIR, topo: Topology, seed: int | None) -> dict[i
 
 # ---------------------------------------------------------------------------
 # Parity-network compilation
-
-
-def _hop_table(topo: Topology) -> list[list[int]]:
-    """All-pairs hop counts: ``table[a][b]`` is the distance from a to b."""
-    n = topo.num_qubits
-    return [[row[q] for q in range(n)] for row in map(topo.distances_from, range(n))]
 
 
 def _steiner_tree(
@@ -439,9 +419,7 @@ def _verify_diagonal_run(gates: list[Gate], expected: list[tuple[int, float]], n
         raise TanglewalkError("internal: compiled rotations do not match the cost terms")
 
 
-def _compile_diagonal_run(
-    gates: list[Gate], topo: Topology, layout: dict[int, int], hops: list[list[int]]
-) -> list[Gate]:
+def _compile_diagonal_run(gates: list[Gate], topo: Topology, layout: dict[int, int]) -> list[Gate]:
     out: list[Gate] = []  # one-qubit terms as bare RZs, then the networks
     networks: list[tuple[tuple[int, int], ...]] = []
     rotations: list[tuple[int, int, float]] = []
@@ -452,7 +430,7 @@ def _compile_diagonal_run(
         if len(phys) == 1:
             out.append(Gate("RZ", phys, g.theta))
         else:
-            network, rotation = _plan_rotation(topo, hops, frozenset(phys), g.theta)
+            network, rotation = _plan_rotation(topo, topo.hops, frozenset(phys), g.theta)
             networks.append(network)
             rotations.append(rotation)
     emitted: list[tuple] = []
@@ -495,13 +473,12 @@ def compile_parity(
         raise DomainError("layout maps two logical qubits to one physical qubit")
     elif any(not 0 <= p < topo.num_qubits for p in layout.values()):
         raise DomainError("layout targets a physical qubit outside the topology")
-    hops = _hop_table(topo)
     out: list[Gate] = []
     for is_ry, gates in itertools.groupby(circ.gates, key=lambda g: g.name == "RY"):
         if is_ry:
             out.extend(Gate("RY", (layout[g.qubits[0]],), g.theta) for g in gates)
         else:
-            out.extend(_compile_diagonal_run(list(gates), topo, layout, hops))
+            out.extend(_compile_diagonal_run(list(gates), topo, layout))
     return CompiledCircuit(
         CircuitIR(topo.num_qubits, out),
         initial_layout=dict(layout),
@@ -540,7 +517,7 @@ def search_layout(circ: CircuitIR, topo: Topology) -> dict[int, int]:
     supports = rotation_supports(circ)
     if not supports:
         return {q: q for q in range(n_log)}
-    dist = _hop_table(topo)
+    dist = topo.hops
     affinity = [[0] * n_log for _ in range(n_log)]
     for sup in supports:
         for a in sup:

@@ -17,7 +17,7 @@ from tanglewalk import (
     to_ising,
     walk_cost,
 )
-from tanglewalk import ConfigError, graphs, maxsat
+from tanglewalk import ConfigError, cli, graphs, maxsat
 from tanglewalk.cli import ExperimentConfig, _workers, build_parser, main
 from tanglewalk.graphs import graph_to_dict
 
@@ -258,13 +258,13 @@ class TestSweep:
         assert _workers(tasks) == expected
 
     @pytest.mark.parametrize("axis", ["nan", "inf"])
-    def test_non_finite_axis_is_domain_error(self, tmp_path, capsys, axis):
+    def test_non_finite_axis_is_config_error(self, tmp_path, capsys, axis):
         out = tmp_path / "s.csv"
         code = main(
             ["sweep", "--seed", "1", "--nodes", "2", "--kind", "hubo", "--p", "1",
              "--dbetas", axis, "--dgammas", "0.1", "-o", str(out)]
         )
-        assert code == 3
+        assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
@@ -517,20 +517,41 @@ def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, argv, fi
     assert capsys.readouterr().err.startswith("error: ")
 
 
+RUN_SETTINGS = [["--shots", "0"], ["--iters", "0"], ["--alpha", "0"], ["--alpha", "1.5"]]
+BAD_SCHEDULES = {  # each subcommand's schedule flags, one bad value each
+    "solve": [["--p", "0"], ["--dbeta", "inf"], ["--dgamma", "nan"]],
+    "pipeline": [["--p", "0"], ["--dbeta", "nan"], ["--dgamma", "inf"]],
+    "sweep": [["--p", "0"], ["--p", "1,0"], ["--dbetas", "0.2,inf"], ["--dgammas", "nan"]],
+    "compile": [["--p", "0"], ["--dbeta", "inf"], ["--dgamma", "nan"]],
+}
+
+
 @pytest.mark.parametrize(
-    "setting",
-    [["--shots", "0"], ["--iters", "0"], ["--p", "0"], ["--alpha", "0"], ["--alpha", "1.5"]],
-    ids=lambda setting: "".join(setting),
+    "command,setting",
+    [
+        *((command, setting) for command in ("solve", "pipeline") for setting in RUN_SETTINGS),
+        *((command, setting) for command, bad in BAD_SCHEDULES.items() for setting in bad),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "".join(value),
 )
-@pytest.mark.parametrize("command", ["solve", "pipeline"])
-def test_bad_run_setting_is_config_error(tmp_path, capsys, tangle2_file, command, setting):
+def test_bad_run_setting_is_config_error(
+    tmp_path, monkeypatch, capsys, tangle2_file, command, setting
+):
+    # Rejected at the boundary: before the instance is encoded, with nothing written.
+    def no_encoding(*args):
+        raise AssertionError("encoded before the run settings were checked")
+
+    monkeypatch.setattr(cli, "_encode", no_encoding)
+    out = tmp_path / "out"
     if command == "solve":
-        argv = ["solve", tangle2_file, "-o", str(tmp_path / "run.json")]
+        argv = ["solve", tangle2_file]
+    elif command == "compile":
+        argv = ["compile", "--graph", tangle2_file, "--circuit-out", str(tmp_path / "gates")]
     else:
-        argv = ["pipeline", "--graph", tangle2_file, "-o", str(tmp_path / "runs.json")]
-    assert main(argv + setting) == 2
+        argv = [command, "--graph", tangle2_file]
+    assert main([*argv, *setting, "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not list(tmp_path.glob("run*.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tangle2.json"]
 
 
 def test_unknown_flag_exits_two():
@@ -573,18 +594,23 @@ def test_json_of_the_wrong_shape_is_domain_error(
 
 
 # Each command's artifacts on a 2-node instance (8 QUBO or 4 HUBO qubits),
-# pinned: a change on the solve path that moves one output byte fails here.
-# Penalties 0.3 and 0.7 make the Ising coefficients non-dyadic, so the
-# optima's energies round apart and the rounding slack is exercised.
+# pinned: a change on the solve or compile path that moves one output byte
+# fails here.  Penalties 0.3 and 0.7 make the Ising coefficients non-dyadic,
+# so the optima's energies round apart and the rounding slack is exercised.
+# The naive compile places 4 HUBO qubits on 8, so its SWAPs move qubits both
+# onto free physical qubits and past other logical ones.
 FLOAT_PENALTIES = ["--one-hot-penalty", "0.3", "--edge-penalty", "0.7", "--hubo-penalty", "0.3"]
 SWEEP_GRID = ["--p", "1,2", "--dbetas", "0.3,0.7", "--dgammas", "0.1,0.3"]
-PINNED_COMMANDS = {  # name -> argv; each writes "-o name", and "name.csv" with --hist
+SIDE = "{name}.side"  # the --hist or --circuit-out file a command writes beside "-o name"
+PINNED_COMMANDS = {  # name -> argv
     "encode-qubo": ["encode", "g.json", "--kind", "qubo"],
     "encode-hubo": ["encode", "g.json", "--kind", "hubo"],
     "encode-qubo-float": ["encode", "g.json", "--kind", "qubo", *FLOAT_PENALTIES],
     "encode-hubo-float": ["encode", "g.json", "--kind", "hubo", *FLOAT_PENALTIES],
-    "solve-graph": ["solve", "g.json", "--kind", "hubo", "--run-seed", "1", "--hist"],
-    "solve-encoded": ["solve", "encode-qubo-float", "--graph", "g.json", "--target", "0", "--hist"],
+    "solve-graph": ["solve", "g.json", "--kind", "hubo", "--run-seed", "1", "--hist", SIDE],
+    "solve-encoded": [
+        "solve", "encode-qubo-float", "--graph", "g.json", "--target", "0", "--hist", SIDE,
+    ],
     "sweep-hubo": ["sweep", "--graph", "g.json", "--kind", "hubo", *SWEEP_GRID],
     "sweep-qubo-float": [
         "sweep", "--graph", "g.json", "--kind", "qubo", *FLOAT_PENALTIES, *SWEEP_GRID,
@@ -593,8 +619,15 @@ PINNED_COMMANDS = {  # name -> argv; each writes "-o name", and "name.csv" with 
         "pipeline", "--seed", "2", "--nodes", "2", "--max-weight", "1", "--kind", "qubo",
         "--shots", "200", "--seeds", "0,1",
     ],
+    "compile-parity": [
+        "compile", "--graph", "g.json", "--topology", "heavy-hex:1", "--circuit-out", SIDE,
+    ],
+    "compile-naive": [
+        "compile", "--graph", "g.json", "--topology", "linear:8", "--method", "naive",
+        "--layout-seed", "3", "--circuit-out", SIDE,
+    ],
 }
-PINNED_DIGESTS = {  # SHA-256 of stdout, then "name", then "name.csv"
+PINNED_DIGESTS = {  # SHA-256 of stdout, then "name", then "name.side"
     "encode-qubo": "b61030d559193385bbe62debf965f50b4cbf0a5ab5f9324bfbccda607d0c70f1",
     "encode-hubo": "379fc328b867c3e9fd24af91186340ce44f9ef531cc6e180fc135ee9cbec5312",
     "encode-qubo-float": "d3bf593fbe2ae35996161d226c78329b1e11ae7ef0fabf0311fae3cacd979265",
@@ -604,6 +637,8 @@ PINNED_DIGESTS = {  # SHA-256 of stdout, then "name", then "name.csv"
     "sweep-hubo": "a2a0b26a95cbd2a65ef2a31881a69f24c083ca41511ca77bc4c57349e583ce08",
     "sweep-qubo-float": "c42741d8328139f4865f343f595a899da2ba8aabb4d7d36d63aae3e697cbbe43",
     "pipeline": "8cc75242ad435e4815aa25640300451fb226bc2de79011875c09dd020b6beafe",
+    "compile-parity": "0a03060b4da647ac734922add6f657ada5bee5a4cbb467f5580427a0a93ddfaf",
+    "compile-naive": "80a30ec7903e9eed1e4cc9df1d72679cd79cd5312525c821ebc5768d36c5b87b",
 }
 
 
@@ -612,10 +647,10 @@ def test_solver_artifacts_match_pinned_digests(tmp_path, monkeypatch, capsys):
     main(["generate", "--seed", "2", "--nodes", "2", "--max-weight", "1", "-o", "g.json"])
     digests = {}
     for name, argv in PINNED_COMMANDS.items():
-        hist = ["--hist", f"{name}.csv"] if "--hist" in argv else []
-        assert main([*(a for a in argv if a != "--hist"), *hist, "-o", name]) == 0
+        argv = [arg.format(name=name) for arg in argv]
+        assert main([*argv, "-o", name]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode())  # pipeline's table
-        for path in [name, *hist[1:]]:
+        for path in [name, *(arg for arg in argv if arg.endswith(".side"))]:
             digest.update((tmp_path / path).read_bytes())
         digests[name] = digest.hexdigest()
     assert digests == PINNED_DIGESTS

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tanglewalk import DomainError, Topology, build_topology
@@ -46,3 +48,15 @@ class TestBuildTopology:
         assert all(topo.coupled(a, b) for a, b in zip(path, path[1:]))
         assert topo.shortest_path(0, {2, 4}) == [0, 1, 2]
         assert topo.shortest_path(3, {3, 5}) == [3]
+
+
+@pytest.mark.parametrize("kind,size", [("linear", 7), ("grid", (3, 4)), ("heavy-hex", 2)])
+def test_hops_are_breadth_first_distances(kind, size):
+    topo = build_topology(kind, size)
+    for a in range(topo.num_qubits):
+        dist = topo.distances_from(a)
+        assert [topo.hops[a][b] for b in range(topo.num_qubits)] == [
+            dist[b] for b in range(topo.num_qubits)
+        ]
+    with pytest.raises(dataclasses.FrozenInstanceError):  # the table cannot go stale
+        topo.edges = frozenset()

@@ -12,6 +12,7 @@ from tanglewalk import (
     CircuitIR,
     DomainError,
     Gate,
+    Topology,
     build_topology,
     compile_naive,
     compile_parity,
@@ -30,7 +31,6 @@ from tanglewalk.transpile import (
     EXHAUSTIVE_LAYOUT_CAP,
     ORDER_CAP,
     _cancel_adjacent_cx,
-    _hop_table,
     _order_plans,
     _plan_rotation,
     _steiner_tree,
@@ -397,6 +397,25 @@ class TestDiagonalRunSelfCheck:
             _verify_diagonal_run(gates, [(0b111, 0.4)], 3)
 
 
+def test_hop_table_is_built_once_per_topology(monkeypatch):
+    # search_layout and compile_parity both read it: one breadth-first
+    # search per qubit for the first compile, none for the next.
+    layer, _ = hubo_cost_layer(0)
+    topo = build_topology("heavy-hex", 1)
+    searches = []
+    distances_from = Topology.distances_from
+
+    def counted(self, src):
+        searches.append(src)
+        return distances_from(self, src)
+
+    monkeypatch.setattr(Topology, "distances_from", counted)
+    compile_parity(layer, topo)
+    assert sorted(searches) == list(range(topo.num_qubits))
+    compile_parity(layer, topo)
+    assert len(searches) == topo.num_qubits
+
+
 class TestSearchLayout:
     def test_exhaustive_on_small_instance(self):
         circ = CircuitIR(3, [Gate("MULTIRZ", (0, 2), 0.5)])
@@ -516,7 +535,7 @@ class TestPlanRotationMatchesOracle:
         # 6 x 200 supports: the single-edge plan equals the cheapest of the
         # candidate plans the oracle builds and ranks.
         topo = build_topology(*PLANNER_TOPOLOGIES[index])
-        hops = _hop_table(topo)
+        hops = topo.hops
         for support in random_supports(topo, index, 200, 2):
             theta = float(len(support)) / 7
             plan = as_plan(*_plan_rotation(topo, hops, support, theta))
@@ -527,7 +546,7 @@ class TestPlanRotationMatchesOracle:
         # The planner collects every child subtree unchecked, which is sound
         # only because no subtree is free of support qubits.
         topo = build_topology(*PLANNER_TOPOLOGIES[index])
-        hops = _hop_table(topo)
+        hops = topo.hops
         for support in random_supports(topo, 100 + index, 200, 1):
             adj = _steiner_tree(topo, hops, support)
             assert support <= set(adj)
@@ -538,7 +557,7 @@ class TestPlanRotationMatchesOracle:
         # Supports up to 24 qubits, where many terminals tie on their
         # distance to the tree and the smaller terminal must join first.
         topo = build_topology(*topo_args)
-        hops = _hop_table(topo)
+        hops = topo.hops
         rng = np.random.default_rng(7)
         for _ in range(60):
             support = frozenset(
@@ -549,7 +568,7 @@ class TestPlanRotationMatchesOracle:
 
 def plans_of(layer: CircuitIR, topo) -> list[tuple]:
     """``_plan_rotation``'s plan for each multi-qubit rotation, placed by ``search_layout``."""
-    hops = _hop_table(topo)
+    hops = topo.hops
     layout = search_layout(layer, topo)
     return [
         _plan_rotation(topo, hops, frozenset(layout[q] for q in g.qubits), g.theta)

@@ -7,13 +7,13 @@ and MULTIRZ(theta, S) = exp(-i theta/2 * prod_{q in S} Z_q), so an RZZ
 is exactly a two-qubit MULTIRZ.
 
 A circuit of CX, SWAP and diagonal gates maps |x> to exp(-i phi(x)) |A x>,
-with A in GL(n, GF(2)) and phi a sum of parity terms.  ``_parity_replay``
+with A in GL(n, GF(2)) and phi a sum of parity terms.  ``_angles``
 captures both in O(gates * n) bit operations: it tracks each wire's value
-as a GF(2) linear form of the input bits and records the parity (mask) at
-which every diagonal gate rotates.  ``verify_equivalence`` (Amy, Maslov &
-Mosca, IEEE TCAD 2014) and the compiler's self-check of each diagonal run
-both use that one replay; the verifier cuts circuits at each RY and
-replays the segments in turn, so no circuit is ever simulated densely.
+as a GF(2) linear form of the input bits and sums each diagonal gate's
+angle per parity (mask) it rotates about.  ``verify_equivalence`` (Amy,
+Maslov & Mosca, IEEE TCAD 2014), the one check of both compilers' output,
+cuts circuits at each RY and replays the segments in turn, so no circuit
+is ever simulated densely.
 """
 
 from __future__ import annotations
@@ -98,32 +98,6 @@ class CircuitIR:
         return "\n".join(lines) + "\n"
 
 
-def _parity_replay(gates, forms: list[int]) -> list[tuple[int, float]]:
-    """(mask, theta) of each diagonal gate, in order; ``forms`` is updated in place.
-
-    ``forms[w]`` is wire w's value as a GF(2) linear form of the input bits,
-    a bit mask.  CX adds the control's form to the target's, SWAP exchanges
-    two forms, and a diagonal gate rotates about the parity given by the XOR
-    of its wires' forms.
-    """
-    phases = []
-    for g in gates:
-        if g.name in DIAGONAL_GATES:
-            mask = 0
-            for q in g.qubits:
-                mask ^= forms[q]
-            phases.append((mask, g.theta))
-        elif g.name == "CX":
-            control, target = g.qubits
-            forms[target] ^= forms[control]
-        elif g.name == "SWAP":
-            a, b = g.qubits
-            forms[a], forms[b] = forms[b], forms[a]
-        else:
-            raise DomainError(f"{g.name} is not a CX, SWAP or diagonal gate")
-    return phases
-
-
 def metrics(circ: CircuitIR) -> dict:
     """{two_qubit_count, two_qubit_depth, total_ops}; SWAP weighs 3.
 
@@ -167,10 +141,27 @@ def _split_at_ry(gates) -> tuple[list[list[Gate]], list[Gate]]:
 
 
 def _angles(gates, forms: list[int]) -> dict[int, float]:
-    """theta/2 summed per mask over a replayed run; ``forms`` is updated in place."""
+    """theta/2 summed per mask over a replayed run; ``forms`` is updated in place.
+
+    ``forms[w]``, a bit mask, is wire w's value as a linear form.  CX adds the
+    control's form to the target's, SWAP exchanges two forms, and a diagonal
+    gate rotates about the XOR of its wires' forms.
+    """
     angles: dict[int, float] = {}
-    for mask, theta in _parity_replay(gates, forms):
-        angles[mask] = angles.get(mask, 0.0) + theta / 2
+    for g in gates:
+        if g.name in DIAGONAL_GATES:
+            mask = 0
+            for q in g.qubits:
+                mask ^= forms[q]
+            angles[mask] = angles.get(mask, 0.0) + g.theta / 2
+        elif g.name == "CX":
+            control, target = g.qubits
+            forms[target] ^= forms[control]
+        elif g.name == "SWAP":
+            a, b = g.qubits
+            forms[a], forms[b] = forms[b], forms[a]
+        else:
+            raise DomainError(f"{g.name} is not a CX, SWAP or diagonal gate")
     return angles
 
 
@@ -200,7 +191,7 @@ def verify_equivalence(a, b) -> bool:
     qubits must return to |0>.
 
     Both circuits are cut at each RY, and the segments are replayed by
-    ``_parity_replay`` in order, the forms carrying across the cuts.
+    ``_angles`` in order, the forms carrying across the cuts.
     Logical bit l starts on its wire under the initial layout and every
     other wire at the form 0.  The k-th segments agree when the difference
     d_S of their angle maps (theta/2 summed per mask S) is a global phase.

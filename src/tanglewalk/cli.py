@@ -561,7 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dgamma", type=float, default=None)
     sub.add_argument("--topology", default="linear:8", help="linear:N, grid:RxC, or heavy-hex:C")
     sub.add_argument("--method", choices=("parity", "naive"), default="parity")
-    sub.add_argument("--layout-seed", dest="layout_seed", type=int, default=None)
+    sub.add_argument(
+        "--layout-seed", dest="layout_seed", type=int, default=None,
+        help="naive only: seed of a random initial layout (default: the identity)",
+    )
     sub.add_argument("--wcnf-out", dest="wcnf_out", help="export the layout MAX-SAT instance")
     sub.add_argument("--swap-depth", dest="swap_depth", type=int, default=0)
     sub.add_argument("--max-order", dest="max_order", type=int, default=maxsat.DEFAULT_MAX_ORDER)

@@ -291,6 +291,8 @@ class RunConfig:
             raise DomainError("iterations must be >= 1")
         if not 0 <= self.epsilon < 0.5:
             raise DomainError(f"epsilon must lie in [0, 0.5), got {self.epsilon}")
+        if self.seed < 0:
+            raise DomainError(f"run seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -16,6 +16,9 @@ CX or SWAP in the input is a ``DomainError``.
   consecutive rotations.  No SWAPs are inserted: parity collection reaches
   across the topology, so no interaction is ever left non-local, and
   the layout is the same at the end as at the start.
+
+Neither compiler checks itself: both return through ``verify_equivalence``
+and raise ``TanglewalkError("internal: ...")`` on an output it rejects.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import PLAIN_GATES, CircuitIR, Gate, _parity_replay, metrics
+from .circuits import PLAIN_GATES, CircuitIR, Gate, metrics, verify_equivalence
 from .errors import DomainError, TanglewalkError
 from .ising import IsingPolynomial
 from .qaoa import QaoaSchedule, _checked_prior
@@ -137,12 +140,13 @@ def compile_naive(
             for prev, cur in reversed(ladder):
                 _route_adjacent(topo, l2p, p2l, prev, cur, out)
                 out.append(Gate("CX", (l2p[prev], l2p[cur])))
-    return CompiledCircuit(
+    compiled = CompiledCircuit(
         CircuitIR(topo.num_qubits, out),
         initial_layout=initial_layout,
         final_layout=l2p,
         method="naive",
     )
+    return _verified(circ, compiled)
 
 
 def _check_fits(circ: CircuitIR, topo: Topology):
@@ -163,9 +167,26 @@ def _check_input(circ: CircuitIR, topo: Topology):
             )
 
 
+def _verified(circ: CircuitIR, compiled: CompiledCircuit) -> CompiledCircuit:
+    """``compiled``, once ``verify_equivalence`` proves that it acts as ``circ`` does.
+
+    ``circ`` has passed ``_check_input``, so an RY the verifier cannot pair,
+    like an unequal circuit, is a compiler defect, not a bad input.
+    """
+    try:
+        equal = verify_equivalence(circ, compiled)
+    except DomainError as exc:
+        raise TanglewalkError(f"internal: {compiled.method} output: {exc}") from exc
+    if not equal:
+        raise TanglewalkError(f"internal: {compiled.method} output does not act as its input")
+    return compiled
+
+
 def _initial_layout(circ: CircuitIR, topo: Topology, seed: int | None) -> dict[int, int]:
     if seed is None:
         return {q: q for q in range(circ.num_qubits)}
+    if seed < 0:
+        raise DomainError(f"layout seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(topo.num_qubits)[: circ.num_qubits]
     return {q: int(order[q]) for q in range(circ.num_qubits)}
@@ -175,18 +196,17 @@ def _initial_layout(circ: CircuitIR, topo: Topology, seed: int | None) -> dict[i
 # Parity-network compilation
 
 
-def _steiner_tree(
-    topo: Topology, hops: list[list[int]], terminals: frozenset[int]
-) -> dict[int, list[int]]:
+def _steiner_tree(topo: Topology, terminals: frozenset[int]) -> dict[int, list[int]]:
     """Deterministic approximate Steiner tree as an adjacency dict.
 
     Takahashi & Matsuyama's heuristic (Math. Japonica 24, 1980): starting
     from the smallest terminal, repeatedly join the missing terminal
     nearest the tree, the smaller one on equal distances, along
     ``Topology.shortest_path``.  Each missing terminal's distance to the
-    tree is kept and lowered through ``hops`` from the nodes each path
-    adds, so a step searches for one path only.
+    tree is kept and lowered through ``Topology.hops`` from the nodes each
+    path adds, so a step searches for one path only.
     """
+    hops = topo.hops
     terms = sorted(terminals)
     tree_nodes = {terms[0]}
     adj: dict[int, list[int]] = {terms[0]: []}
@@ -237,18 +257,18 @@ def _collect_gates(
 
 
 def _plan_rotation(
-    topo: Topology, hops: list[list[int]], support: frozenset[int], theta: float
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, int, float]]:
+    topo: Topology, support: frozenset[int]
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, int]]:
     """Collect the parity of a 2+ qubit support onto one Steiner-tree edge for an RZZ.
 
     Returns the parity-collection network as CX (control, target) pairs,
-    mirrored after the rotation when emitted, and the RZZ as (u, v, theta).
+    mirrored after the rotation when emitted, and the RZZ's edge (u, v).
     For a tree of V nodes, c of them conduits (outside the support), every
     edge touching the support costs 2(V-2+c)+1 two-qubit gates and every
     single-qubit RZ root 2(V-1+c), so any such edge is cheapest; the
     largest (u, v), u < v, is taken.
     """
-    adj = _steiner_tree(topo, hops, support)
+    adj = _steiner_tree(topo, support)
     u, v = max((a, b) for a in adj for b in adj[a] if a < b and (a in support or b in support))
     network: list[tuple[int, int]] = []
     if u not in support:
@@ -257,7 +277,7 @@ def _plan_rotation(
         network.append((v, u))
     network += _collect_gates(adj, u, support, v)
     network += _collect_gates(adj, v, support, u)
-    return tuple(network), (u, v, theta)
+    return tuple(network), (u, v)
 
 
 def _shared_prefix(a: Sequence, b: Sequence) -> int:
@@ -403,36 +423,18 @@ def _cancel_adjacent_cx(gates: list[tuple]) -> list[tuple]:
     return out
 
 
-def _verify_diagonal_run(gates: list[Gate], expected: list[tuple[int, float]], n: int):
-    """Exact self-check of a compiled diagonal run via GF(2) parity replay.
-
-    Each emitted rotation must fire on exactly the parity of the cost term
-    it implements, and the CX network must restore the identity so the run
-    stays diagonal.  Raises rather than silently emitting a wrong circuit.
-    """
-    identity = [1 << q for q in range(n)]
-    forms = list(identity)
-    realized = _parity_replay(gates, forms)
-    if forms != identity:
-        raise TanglewalkError("internal: parity network does not restore the identity")
-    if sorted(realized) != sorted(expected):
-        raise TanglewalkError("internal: compiled rotations do not match the cost terms")
-
-
 def _compile_diagonal_run(gates: list[Gate], topo: Topology, layout: dict[int, int]) -> list[Gate]:
     out: list[Gate] = []  # one-qubit terms as bare RZs, then the networks
     networks: list[tuple[tuple[int, int], ...]] = []
     rotations: list[tuple[int, int, float]] = []
-    expected: list[tuple[int, float]] = []
     for g in gates:
         phys = tuple(sorted(layout[q] for q in g.qubits))
-        expected.append((sum(1 << q for q in phys), g.theta))
         if len(phys) == 1:
             out.append(Gate("RZ", phys, g.theta))
         else:
-            network, rotation = _plan_rotation(topo, topo.hops, frozenset(phys), g.theta)
+            network, (u, v) = _plan_rotation(topo, frozenset(phys))
             networks.append(network)
-            rotations.append(rotation)
+            rotations.append((u, v, g.theta))
     emitted: list[tuple] = []
     for idx in _order_plans(networks):
         emitted += networks[idx]
@@ -446,7 +448,6 @@ def _compile_diagonal_run(gates: list[Gate], topo: Topology, layout: dict[int, i
             if g not in cx:
                 cx[g] = Gate("CX", g)
             out.append(cx[g])
-    _verify_diagonal_run(out, expected, topo.num_qubits)
     return out
 
 
@@ -479,12 +480,13 @@ def compile_parity(
             out.extend(Gate("RY", (layout[g.qubits[0]],), g.theta) for g in gates)
         else:
             out.extend(_compile_diagonal_run(list(gates), topo, layout))
-    return CompiledCircuit(
+    compiled = CompiledCircuit(
         CircuitIR(topo.num_qubits, out),
         initial_layout=dict(layout),
         final_layout=dict(layout),
         method="parity",
     )
+    return _verified(circ, compiled)
 
 
 # ---------------------------------------------------------------------------

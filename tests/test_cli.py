@@ -322,6 +322,17 @@ class TestCompile:
         assert code == 0
         assert wcnf.read_text().startswith("p wcnf ")
 
+    @pytest.mark.parametrize(
+        "placement",
+        [["--method", "naive", "--layout-seed", "-1"], ["--topology", "linear:3"]],
+        ids=["negative-layout-seed", "topology-too-small"],
+    )
+    def test_unplaceable_circuit_is_domain_error(self, tmp_path, capsys, tangle2_file, placement):
+        out = tmp_path / "c.json"
+        assert main(["compile", "--graph", tangle2_file, *placement, "-o", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_bad_topology_is_config_error(self, tmp_path):
         code = main(
             ["compile", "--seed", "1", "--topology", "ring:4", "-o", str(tmp_path / "c.json")]
@@ -531,6 +542,8 @@ BAD_SCHEDULES = {  # each subcommand's schedule flags, one bad value each
     [
         *((command, setting) for command in ("solve", "pipeline") for setting in RUN_SETTINGS),
         *((command, setting) for command, bad in BAD_SCHEDULES.items() for setting in bad),
+        ("solve", ["--run-seed", "-1"]),
+        ("pipeline", ["--seeds", "-1"]),
     ],
     ids=lambda value: value if isinstance(value, str) else "".join(value),
 )
@@ -598,7 +611,8 @@ def test_json_of_the_wrong_shape_is_domain_error(
 # fails here.  Penalties 0.3 and 0.7 make the Ising coefficients non-dyadic,
 # so the optima's energies round apart and the rounding slack is exercised.
 # The naive compile places 4 HUBO qubits on 8, so its SWAPs move qubits both
-# onto free physical qubits and past other logical ones.
+# onto free physical qubits and past other logical ones.  The p=2 compiles
+# hold two diagonal runs between RY layers, so a run's plan meets another's.
 FLOAT_PENALTIES = ["--one-hot-penalty", "0.3", "--edge-penalty", "0.7", "--hubo-penalty", "0.3"]
 SWEEP_GRID = ["--p", "1,2", "--dbetas", "0.3,0.7", "--dgammas", "0.1,0.3"]
 SIDE = "{name}.side"  # the --hist or --circuit-out file a command writes beside "-o name"
@@ -626,6 +640,14 @@ PINNED_COMMANDS = {  # name -> argv
         "compile", "--graph", "g.json", "--topology", "linear:8", "--method", "naive",
         "--layout-seed", "3", "--circuit-out", SIDE,
     ],
+    "compile-parity-p2": [
+        "compile", "--graph", "g.json", "--p", "2", "--topology", "heavy-hex:1",
+        "--circuit-out", SIDE,
+    ],
+    "compile-naive-p2": [
+        "compile", "--graph", "g.json", "--p", "2", "--topology", "heavy-hex:1",
+        "--method", "naive", "--circuit-out", SIDE,
+    ],
 }
 PINNED_DIGESTS = {  # SHA-256 of stdout, then "name", then "name.side"
     "encode-qubo": "b61030d559193385bbe62debf965f50b4cbf0a5ab5f9324bfbccda607d0c70f1",
@@ -639,6 +661,8 @@ PINNED_DIGESTS = {  # SHA-256 of stdout, then "name", then "name.side"
     "pipeline": "8cc75242ad435e4815aa25640300451fb226bc2de79011875c09dd020b6beafe",
     "compile-parity": "0a03060b4da647ac734922add6f657ada5bee5a4cbb467f5580427a0a93ddfaf",
     "compile-naive": "80a30ec7903e9eed1e4cc9df1d72679cd79cd5312525c821ebc5768d36c5b87b",
+    "compile-parity-p2": "b2c4a50bc62336f01fc13e630eda044369e3ef8260ab0c91fa76f1c501659274",
+    "compile-naive-p2": "8e341c7d01aff079cc3156cb5e7a78d5d4f4af77166986c6736cc54a8b52cb55",
 }
 
 

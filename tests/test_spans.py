@@ -52,4 +52,13 @@ def test_tracer_counts_every_layer(tangle2):
         "circuits.verify_equivalence": {"calls", "amplitudes"},
     }
     assert {name: set(counts) for name, counts in tracer.counts.items()} == expected
+    # Each compile verifies its output inside its own span, so the benchmark
+    # can tell those verifies from its own by their parent.
+    names = [span[0] for span in tracer.spans]
+    verify_parents = [
+        None if parent is None else names[parent]
+        for name, _, _, parent, *_ in tracer.spans
+        if name == "circuits.verify_equivalence"
+    ]
+    assert verify_parents == ["transpile.compile_parity", "transpile.compile_naive", None]
     assert tracer.counts["qaoa.simulate"]["calls"] == len(record.iterations) == 2

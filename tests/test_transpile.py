@@ -27,6 +27,8 @@ from tanglewalk import (
     verify_equivalence,
 )
 from tanglewalk import transpile
+from tanglewalk.cli import main
+from tanglewalk.errors import TanglewalkError
 from tanglewalk.transpile import (
     EXHAUSTIVE_LAYOUT_CAP,
     ORDER_CAP,
@@ -378,23 +380,44 @@ class TestCompiledMetrics:
         assert census == [c.circuit for c in compiled]
 
 
-class TestDiagonalRunSelfCheck:
-    def test_rejects_missing_mirror(self):
-        from tanglewalk.errors import TanglewalkError
-        from tanglewalk.transpile import _verify_diagonal_run
+class TestCompilersAreVerified:
+    """Each compiler's output passes ``verify_equivalence`` or raises an internal error."""
 
-        good = [Gate("CX", (0, 1)), Gate("RZZ", (1, 2), 0.4), Gate("CX", (0, 1))]
-        _verify_diagonal_run(good, [(0b111, 0.4)], 3)
-        with pytest.raises(TanglewalkError, match="identity"):
-            _verify_diagonal_run(good[:-1], [(0b111, 0.4)], 3)
+    def test_dropped_cx_fails_parity(self, monkeypatch):
+        cancel = transpile._cancel_adjacent_cx
 
-    def test_rejects_wrong_rotation_support(self):
-        from tanglewalk.errors import TanglewalkError
-        from tanglewalk.transpile import _verify_diagonal_run
+        def drop_first_cx(gates):
+            out = cancel(gates)
+            first_cx = next(i for i, g in enumerate(out) if len(g) == 2)
+            return out[:first_cx] + out[first_cx + 1 :]
 
-        gates = [Gate("RZZ", (1, 2), 0.4)]
-        with pytest.raises(TanglewalkError, match="cost terms"):
-            _verify_diagonal_run(gates, [(0b111, 0.4)], 3)
+        monkeypatch.setattr(transpile, "_cancel_adjacent_cx", drop_first_cx)
+        layer, h = hubo_cost_layer(4)
+        with pytest.raises(TanglewalkError, match="internal"):
+            compile_parity(layer, build_topology("linear", h.num_qubits))
+
+    def test_missing_swap_fails_naive(self, monkeypatch, tmp_path):
+        # The pinned naive compile, whose 13 SWAPs are routed but not emitted.
+        route = transpile._route_adjacent
+        monkeypatch.setattr(transpile, "_route_adjacent", lambda *args: route(*args[:-1], []))
+        monkeypatch.chdir(tmp_path)
+        main(["generate", "--seed", "2", "--nodes", "2", "--max-weight", "1", "-o", "g.json"])
+        argv = ["compile", "--graph", "g.json", "--topology", "linear:8", "--method", "naive"]
+        with pytest.raises(TanglewalkError, match="internal"):
+            main([*argv, "--layout-seed", "3", "-o", "c.json"])
+
+    def test_unpaired_ry_is_internal_error(self, monkeypatch):
+        # The verifier's DomainError would blame the input, which passed its checks.
+        compile_run = transpile._compile_diagonal_run
+        monkeypatch.setattr(
+            transpile,
+            "_compile_diagonal_run",
+            lambda *args: [*compile_run(*args), Gate("RY", (0,), 0.1)],
+        )
+        layer, h = hubo_cost_layer(4)
+        with pytest.raises(TanglewalkError, match="internal") as err:
+            compile_parity(layer, build_topology("linear", h.num_qubits))
+        assert type(err.value) is TanglewalkError
 
 
 def test_hop_table_is_built_once_per_topology(monkeypatch):
@@ -518,10 +541,9 @@ def random_supports(topo, seed: int, count: int, smallest: int) -> list[frozense
     return [frozenset(rng.choice(topo.num_qubits, size=k, replace=False).tolist()) for k in sizes]
 
 
-def as_plan(network, rotation) -> RotationPlan:
-    """The compiler's (control, target) pairs and (u, v, theta) as the oracles' record."""
-    u, v, theta = rotation
-    return RotationPlan(tuple(Gate("CX", g) for g in network), Gate("RZZ", (u, v), theta))
+def as_plan(network, edge, theta) -> RotationPlan:
+    """The compiler's (control, target) pairs, RZZ edge and angle as the oracles' record."""
+    return RotationPlan(tuple(Gate("CX", g) for g in network), Gate("RZZ", edge, theta))
 
 
 def networks_of(plans: list[RotationPlan]) -> list[tuple]:
@@ -535,10 +557,9 @@ class TestPlanRotationMatchesOracle:
         # 6 x 200 supports: the single-edge plan equals the cheapest of the
         # candidate plans the oracle builds and ranks.
         topo = build_topology(*PLANNER_TOPOLOGIES[index])
-        hops = topo.hops
         for support in random_supports(topo, index, 200, 2):
             theta = float(len(support)) / 7
-            plan = as_plan(*_plan_rotation(topo, hops, support, theta))
+            plan = as_plan(*_plan_rotation(topo, support), theta)
             assert plan == old_plan_rotation(topo, support, theta)
 
     @pytest.mark.parametrize("index", range(len(PLANNER_TOPOLOGIES)))
@@ -546,9 +567,8 @@ class TestPlanRotationMatchesOracle:
         # The planner collects every child subtree unchecked, which is sound
         # only because no subtree is free of support qubits.
         topo = build_topology(*PLANNER_TOPOLOGIES[index])
-        hops = topo.hops
         for support in random_supports(topo, 100 + index, 200, 1):
-            adj = _steiner_tree(topo, hops, support)
+            adj = _steiner_tree(topo, support)
             assert support <= set(adj)
             assert all(node in support for node, nbrs in adj.items() if len(nbrs) <= 1)
 
@@ -557,21 +577,19 @@ class TestPlanRotationMatchesOracle:
         # Supports up to 24 qubits, where many terminals tie on their
         # distance to the tree and the smaller terminal must join first.
         topo = build_topology(*topo_args)
-        hops = topo.hops
         rng = np.random.default_rng(7)
         for _ in range(60):
             support = frozenset(
                 rng.choice(topo.num_qubits, size=int(rng.integers(2, 25)), replace=False).tolist()
             )
-            assert _steiner_tree(topo, hops, support) == old_steiner_tree(topo, support)
+            assert _steiner_tree(topo, support) == old_steiner_tree(topo, support)
 
 
 def plans_of(layer: CircuitIR, topo) -> list[tuple]:
-    """``_plan_rotation``'s plan for each multi-qubit rotation, placed by ``search_layout``."""
-    hops = topo.hops
+    """(network, edge, theta) for each multi-qubit rotation, placed by ``search_layout``."""
     layout = search_layout(layer, topo)
     return [
-        _plan_rotation(topo, hops, frozenset(layout[q] for q in g.qubits), g.theta)
+        (*_plan_rotation(topo, frozenset(layout[q] for q in g.qubits)), g.theta)
         for g in layer.gates
         if len(g.qubits) > 1
     ]
@@ -612,7 +630,7 @@ class TestOrderPlansMatchesOracle:
         plans = plans_of(wide_layer(8, 4, 2, 0.2), build_topology("heavy-hex", 2))
         assert len(plans) > ORDER_CAP
         oracle_plans = [as_plan(*plan) for plan in plans]
-        assert _order_plans([network for network, _ in plans]) == greedy_order_plans(
+        assert _order_plans([network for network, *_ in plans]) == greedy_order_plans(
             oracle_plans, ORDER_CAP
         )
 
@@ -650,9 +668,9 @@ class TestCancelAdjacentCxMatchesOracle:
         for tangle_args, _ in WIDE_LAYERS:
             plans = plans_of(wide_layer(*tangle_args), build_topology("heavy-hex", 2))
             emitted = []
-            for idx in _order_plans([network for network, _ in plans]):
-                network, rotation = plans[idx]
-                emitted += [*network, rotation, *reversed(network)]
+            for idx in _order_plans([network for network, *_ in plans]):
+                network, edge, theta = plans[idx]
+                emitted += [*network, (*edge, theta), *reversed(network)]
             new = _cancel_adjacent_cx(emitted)
             assert len(new) < len(emitted)
             old = old_cancel_adjacent_cx([as_gate(g) for g in emitted])

@@ -27,7 +27,9 @@ MEMORY_BUDGET = 4 << 30  # bytes any one dense path may peak at
 # They bound tracemalloc peaks at 14-20 qubits.  diagonal and parity table:
 # the float64 vector and a half-length temporary.  simulate: the 16-byte
 # state, an index of up to 4, 1.5 of _scratch, then 8 of |amplitude|^2;
-# tabulating the levels peaks near 20, and sample holds a normalised copy
+# tabulating the levels peaks near 20 from the float diagonal, and near 13
+# plus 16 per level from integers (the int32 energies, a count table and
+# its ranks of up to 1 + 4, the index), and sample holds a normalised copy
 # of the distribution and int64 counts beside it.  sweep: the state,
 # _light_cone's stages (24, which serve as its _scratch) and the index.
 _PEAK_BYTES_PER_STATE = {"diagonal": 12, "parity table": 12, "simulate": 30, "sweep": 44}
@@ -54,12 +56,14 @@ def _check_memory(path: str, num_qubits: int, levels: int = 0) -> int:
 def _walsh_hadamard(coeffs: np.ndarray) -> np.ndarray:
     """In place: coeffs[x] <- sum over masks S of coeffs[S] * (-1)^|S & x|.
 
-    ``coeffs`` is a float64 vector of length 2^n indexed by qubit mask.
-    Each of the n butterfly passes maps a pair (a, b) split by one index
-    bit to (a + b, a - b), through one temporary of half the length.
+    ``coeffs`` is a float64 or integer vector of length 2^n indexed by
+    qubit mask; an integer one must hold every partial sum (see
+    ``ising._integer_levels``).  Each of the n butterfly passes maps a pair
+    (a, b) split by one index bit to (a + b, a - b), through one temporary
+    of half the length and of the input's type.
     """
     half = coeffs.size >> 1
-    diff = np.empty(half)
+    diff = np.empty(half, dtype=coeffs.dtype)
     stride = 1
     while stride <= half:
         pairs = coeffs.reshape(-1, 2, stride)

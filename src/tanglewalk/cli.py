@@ -296,6 +296,8 @@ def _parse_topology(spec: str):
 
 
 def cmd_compile(args) -> int:
+    if args.layout_seed is not None and args.method != "naive":
+        raise ConfigError("--layout-seed applies to --method naive only")
     g = _load_instance(args)
     dbeta, dgamma = _resolve_schedule(args.kind, args.dbeta, args.dgamma)
     schedule = _from_flags(lr_schedule, args.p, dbeta, dgamma)
@@ -563,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--method", choices=("parity", "naive"), default="parity")
     sub.add_argument(
         "--layout-seed", dest="layout_seed", type=int, default=None,
-        help="naive only: seed of a random initial layout (default: the identity)",
+        help="seed of a random initial layout for --method naive (default: the identity);"
+        " with --method parity it is a configuration error",
     )
     sub.add_argument("--wcnf-out", dest="wcnf_out", help="export the layout MAX-SAT instance")
     sub.add_argument("--swap-depth", dest="swap_depth", type=int, default=0)

@@ -17,10 +17,23 @@ sum is exact, which holds for all encodings built from
 integer weights and dyadic penalties.  Otherwise the energies can differ
 from a term-by-term sum in the last bits, by rounding of order
 n * eps * (|constant| + sum |coeff|).
+
+``_integer_levels`` gives the solver the same energies as levels
+(distinct values and each state's index) from one int32 transform.
+Every float is an integer over a power of two, so some smallest 2^k
+makes the constant and all the coefficients integers; call the sum of
+their magnitudes S.  Every partial sum of the butterfly is a signed sum
+of some of them, so its magnitude is at most S.  If 2 * S < 2^n (and
+2^31), int32 holds every partial sum, and the spread of the energies,
+at most 2 * S, indexes a table no longer than the state.  Under that bound
+every float partial sum is a multiple of 2^-k below 2^31 * 2^-k, which
+float64 holds exactly, so the float transform rounds nowhere either, and
+the two agree bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -80,3 +93,36 @@ def diagonal(h: IsingPolynomial) -> np.ndarray:
     for qubits, coeff in h.terms.items():
         coeffs[sum(1 << q for q in qubits)] = coeff
     return _walsh_hadamard(coeffs)
+
+
+def _integer_levels(h: IsingPolynomial) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_dense._levels(diagonal(h))`` built from integers, or None where that is not exact.
+
+    The constant and the coefficients, times the smallest 2^k that makes
+    them all integers, must have magnitudes summing to less than half of
+    2^n (and of 2^31).  Each state's energy less the lowest then indexes a
+    table no longer than the state, whose running count of the energies
+    present is that state's level.
+    """
+    coeffs = [h.constant, *h.terms.values()]
+    if not all(math.isfinite(c) for c in coeffs):
+        return None
+    ratios = [float(c).as_integer_ratio() for c in coeffs]  # each denominator a power of 2
+    k = max(den.bit_length() for _, den in ratios) - 1
+    ints = [num << (k + 1 - den.bit_length()) for num, den in ratios]
+    if 2 * sum(map(abs, ints)) >= 1 << min(h.num_qubits, 31):
+        return None
+    energies = np.zeros(1 << h.num_qubits, dtype=np.int32)
+    energies[0] = ints[0]
+    for qubits, coeff in zip(h.terms, ints[1:]):
+        energies[sum(1 << q for q in qubits)] = coeff
+    _walsh_hadamard(energies)
+    low = int(energies.min())
+    energies -= low
+    present = np.zeros(int(energies.max()) + 1, dtype=bool)
+    present[energies] = True
+    dtype = np.min_scalar_type(np.count_nonzero(present) - 1)
+    rank = np.zeros(present.size, dtype)  # present[0]: the lowest energy has rank 0
+    np.cumsum(present[1:], dtype=dtype, out=rank[1:])
+    values = (np.flatnonzero(present) + low) * 2.0**-k  # exact: below 2^31, and k <= 1074
+    return values, np.take(rank, energies)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _dense
 from .errors import DomainError
-from .ising import IsingPolynomial, diagonal
+from .ising import IsingPolynomial, _integer_levels, diagonal
 
 CLIP_EPSILON = 0.15
 FEEDBACK_TEMPERATURE_START = 0.015
@@ -95,11 +95,16 @@ def _checked_levels(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _energy_levels(h: IsingPolynomial, path: str, levels=None) -> tuple[np.ndarray, np.ndarray]:
-    """``_dense._levels(diagonal(h))``, or ``levels`` checked, within ``path``'s memory charge."""
+    """h's distinct energies and each state's index into them, within ``path``'s memory charge.
+
+    They come from ``ising._integer_levels`` where that is exact, else from
+    ``_dense._levels(diagonal(h))``; the two agree bit for bit wherever both
+    apply.  ``levels``, if given, is checked and returned instead.
+    """
     n = h.num_qubits
     _dense._check_memory(path, n)
     if levels is None:
-        levels = _dense._levels(diagonal(h))
+        levels = _integer_levels(h) or _dense._levels(diagonal(h))
     values, index = _checked_levels(levels, n)
     _dense._check_memory(path, n, len(values))
     return values, index
@@ -140,7 +145,7 @@ def simulate(
     """Exact output distribution of one warm-started LR-QAOA circuit.
 
     Returns |amplitude|^2 over all 2^n basis states.  ``levels`` may be
-    passed to reuse ``_dense._levels(diagonal(h))`` across calls.
+    passed to reuse h's levels (``_energy_levels``) across calls.
     """
     n = h.num_qubits
     phi = _checked_prior(h, prior)
@@ -178,7 +183,8 @@ class SampleBatch:
 def sample(probs: np.ndarray, shots: int, seed, levels: tuple) -> SampleBatch:
     """Multinomial draw from an exact distribution, deterministic in the seed.
 
-    The energies are read from ``levels``, ``_dense._levels(diagonal(h))``.
+    The energies are read from ``levels``: the distinct energies and each
+    state's index into them, as ``_energy_levels`` builds them.
     """
     if shots < 0:
         raise DomainError(f"shots must be >= 0, got {shots}")

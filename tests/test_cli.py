@@ -333,6 +333,20 @@ class TestCompile:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", [[], ["--method", "parity"]], ids=["default", "parity"])
+    def test_layout_seed_without_naive_is_config_error(
+        self, tmp_path, capsys, monkeypatch, tangle2_file, method
+    ):
+        def no_encoding(*args):
+            raise AssertionError("encoded before the flags were checked")
+
+        monkeypatch.setattr(cli, "_encode", no_encoding)
+        out = tmp_path / "c.json"
+        argv = ["compile", "--graph", tangle2_file, *method, "--layout-seed", "5", "-o", str(out)]
+        assert main(argv) == 2
+        assert "--layout-seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_topology_is_config_error(self, tmp_path):
         code = main(
             ["compile", "--seed", "1", "--topology", "ring:4", "-o", str(tmp_path / "c.json")]

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +27,10 @@ from tanglewalk import (
     sweep,
     to_ising,
 )
+from tanglewalk import qaoa
 from tanglewalk.circuits import _is_global_phase
-from tanglewalk._dense import MEMORY_BUDGET, _check_memory
+from tanglewalk.ising import _integer_levels
+from tanglewalk._dense import MEMORY_BUDGET, _check_memory, _levels
 
 import test_acceptance as acceptance
 from helpers import (
@@ -291,6 +295,123 @@ class TestDiagonal:
         assert np.array_equal(diagonal(h), parity_energies(h))
 
 
+def same_levels(a, b) -> bool:
+    """Equal levels: the same value bits, and the same index in the same type."""
+    (values_a, index_a), (values_b, index_b) = a, b
+    return (
+        [v.hex() for v in values_a] == [v.hex() for v in values_b]
+        and index_a.dtype == index_b.dtype
+        and np.array_equal(index_a, index_b)
+    )
+
+
+def float_levels(h):
+    return _levels(diagonal(h))
+
+
+SWEEP_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "sweep_reference.json"
+
+
+class TestIntegerLevels:
+    """The int32 level builder equals the float diagonal's levels wherever it applies."""
+
+    @pytest.mark.parametrize(
+        "family,seed,qubits",
+        [
+            ((3, 2, 0.25), 519501, 18),
+            ((3, 2, 0.25), 387926, 18),
+            ((4, 2, 0.2), 888598, 18),
+            ((4, 2, 0.2), 621429, 18),
+            ((4, 2, 0.2), 140891, 21),
+        ],
+        ids=["18a", "18a-2", "18b", "18b-2", "21"],
+    )
+    def test_hubo_tangles(self, family, seed, qubits):
+        g = generate_tangle(seed, *family)
+        h = to_ising(encode_hubo(g, default_walk_length(g)))
+        assert h.num_qubits == qubits
+        levels = _integer_levels(h)
+        assert levels is not None and same_levels(levels, float_levels(h))
+
+    def test_sweep_reference_instances(self):
+        instances = json.loads(SWEEP_REFERENCE.read_text())["instances"]
+        assert len(instances) == 36
+        for entry in instances:
+            g = generate_tangle(entry["generator_seed"], *entry["family"])
+            h = to_ising(encode_qubo(g, default_walk_length(g)))
+            levels = _integer_levels(h)
+            assert levels is not None and same_levels(levels, float_levels(h)), entry
+
+    def test_random_dyadic_polynomials(self):
+        rng = np.random.default_rng(27)
+        integer = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 15))
+            scale = 2.0 ** -int(rng.integers(0, 5))
+            pairs = [
+                (rng.choice(n, int(rng.integers(1, min(n, 3) + 1)), replace=False).tolist(),
+                 int(rng.integers(-6, 7)) * scale)
+                for _ in range(int(rng.integers(0, 3 * n + 1)))
+            ]
+            h = IsingPolynomial(n, ising_terms(pairs), int(rng.integers(-6, 7)) * scale)
+            levels = _integer_levels(h)
+            expected = float_levels(h)
+            assert same_levels(qaoa._energy_levels(h, "simulate"), expected)
+            if levels is not None:
+                integer += 1
+                assert same_levels(levels, expected)
+        assert min(integer, 300 - integer) >= 50  # both ways are taken often
+
+    @pytest.mark.parametrize("n", [12, 17])
+    def test_dense_spans(self, n):
+        # Many distinct energies: a uint16 index at 12 qubits, uint32 at 17.
+        rng = np.random.default_rng(n)
+        pairs = [
+            (rng.choice(n, int(rng.integers(1, 4)), replace=False).tolist(), rng.integers(-64, 65) / 8)
+            for _ in range(4 * n)
+        ]
+        h = IsingPolynomial(n, ising_terms(pairs), 0.375)
+        levels = _integer_levels(h)
+        assert levels is not None and same_levels(levels, float_levels(h))
+
+    @pytest.mark.parametrize(
+        "h,integer",
+        [
+            (IsingPolynomial(4, {(0,): 0.3}), False),
+            (IsingPolynomial(4, {(0,): 1.0, (1,): 2.0**-60}), False),
+            (IsingPolynomial(4, {(0,): 2.0**-60, (1, 2): -(2.0**-59)}), True),
+            (IsingPolynomial(3, {(0,): 5e-324, (2,): -5e-324}), True),
+            # 2 * (|constant| + sum |coeff|) * 2^k against 2^n = 16
+            (IsingPolynomial(4, {(0,): 2.0, (1, 3): -3.0}, 3.0), False),
+            (IsingPolynomial(4, {(0,): 2.0, (1, 3): -3.0}, 2.0), True),
+            (IsingPolynomial(4, {(0,): 0.5, (2, 3): -1.25}, 0.25), False),
+            (IsingPolynomial(4, {(0,): 0.5, (2, 3): -1.25}), True),
+            (IsingPolynomial(0), True),
+            (IsingPolynomial(0, constant=2.5), False),
+            (IsingPolynomial(3, constant=1.5), True),
+            (IsingPolynomial(3, constant=5.0), False),
+            (IsingPolynomial(2, constant=-0.0), True),
+            (IsingPolynomial(3, {(1,): 0.25}, -0.0), True),
+            (IsingPolynomial(3, {(1,): 0.25}, float("inf")), False),
+        ],
+        ids=[
+            "non-dyadic", "2^-60 past the bound", "2^-60 within the bound", "subnormal",
+            "sum at the bound", "sum below the bound", "scaled sum at the bound",
+            "scaled sum below the bound", "no qubits", "no qubits past the bound", "constant only",
+            "constant past the bound", "negative zero constant", "negative zero with terms",
+            "infinite constant",
+        ],
+    )
+    def test_edges_and_fallbacks(self, h, integer):
+        levels = _integer_levels(h)
+        assert (levels is not None) == integer
+        expected = float_levels(h)
+        assert same_levels(qaoa._energy_levels(h, "simulate"), expected)
+        if integer:
+            assert same_levels(levels, expected)
+            assert not np.signbit(levels[0][levels[0] == 0]).any()
+
+
 def peak_bytes(call) -> int:
     """tracemalloc peak of one call, counting only what the call allocates."""
     tracemalloc.start()
@@ -303,7 +424,12 @@ def peak_bytes(call) -> int:
 
 def memory_instance(n, energies):
     """Degree-1-3 Z terms: dyadic ones give a few hundred distinct energies,
-    Gaussian ones make every energy distinct (the widest level index)."""
+    Gaussian ones make every energy distinct (the widest level index).
+    "wide-span" weighs Z_q by 2^q / 16 for q < n - 1: the integer levels'
+    longest count table, 2^n - 1 entries, just inside their bound, with
+    2^(n-1) distinct energies."""
+    if energies == "wide-span":
+        return IsingPolynomial(n, {(q,): 2.0 ** (q - 4) for q in range(n - 1)})
     rng = np.random.default_rng(n)
     pairs = []
     for _ in range(3 * n):
@@ -314,10 +440,11 @@ def memory_instance(n, energies):
 
 
 class TestMemoryRule:
-    @pytest.mark.parametrize("energies", ["dyadic", "distinct"])
+    @pytest.mark.parametrize("energies", ["dyadic", "distinct", "wide-span"])
     @pytest.mark.parametrize("n", [14, 16, 18, 20])
     def test_estimate_covers_measured_peak(self, n, energies):
         h = memory_instance(n, energies)
+        assert (_integer_levels(h) is None) == (energies == "distinct")
         prior = np.full(n, 0.3)
         levels = len(np.unique(diagonal(h)))
         masks = {sum(1 << q for q in qubits): c for qubits, c in h.terms.items()}

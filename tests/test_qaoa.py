@@ -788,6 +788,7 @@ class TestSweepLightCone:
             raise AssertionError("diagonal built before the inputs were checked")
 
         monkeypatch.setattr(qaoa, "diagonal", no_diagonal)
+        monkeypatch.setattr(qaoa, "_integer_levels", no_diagonal)
         h = IsingPolynomial(8)
         with pytest.raises(DomainError):
             sweep(h, np.full(7, 0.5), [(0.5, 0.5)], [1])

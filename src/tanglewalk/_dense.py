@@ -1,6 +1,6 @@
 """Dense kernels over all 2^n basis states, and the memory rule that bounds them.
 
-Before allocating, each dense path (``ising.diagonal``, the verifier's
+Before allocating, each dense path (``ising.diagonal``, also the verifier's
 phase table, ``qaoa.simulate``, ``iterative_qaoa`` and ``sweep``) checks its
 peak-byte estimate against ``MEMORY_BUDGET`` and raises SizeCapError if it
 does not fit.  The mixer layer is cache-blocked as in qHiPSTER
@@ -24,15 +24,15 @@ MEMORY_BUDGET = 4 << 30  # bytes any one dense path may peak at
 # Peak bytes of each dense path: 1 MiB (NumPy's iterator buffers, and
 # _scratch below 19 qubits), a worst case per basis state, and for simulate
 # and sweep 24 per distinct energy (its float64 level and complex phase).
-# They bound tracemalloc peaks at 14-20 qubits.  diagonal and parity table:
-# the float64 vector and a half-length temporary.  simulate: the 16-byte
+# They bound tracemalloc peaks at 14-20 qubits.  diagonal (the verifier's
+# too): the float64 vector and a half-length temporary.  simulate: the 16-byte
 # state, an index of up to 4, 1.5 of _scratch, then 8 of |amplitude|^2;
 # tabulating the levels peaks near 20 from the float diagonal, and near 13
 # plus 16 per level from integers (the int32 energies, a count table and
 # its ranks of up to 1 + 4, the index), and sample holds a normalised copy
 # of the distribution and int64 counts beside it.  sweep: the state,
 # _light_cone's stages (24, which serve as its _scratch) and the index.
-_PEAK_BYTES_PER_STATE = {"diagonal": 12, "parity table": 12, "simulate": 30, "sweep": 44}
+_PEAK_BYTES_PER_STATE = {"diagonal": 12, "simulate": 30, "sweep": 44}
 _PEAK_BYTES_PER_LEVEL = 24
 
 
@@ -53,47 +53,29 @@ def _check_memory(path: str, num_qubits: int, levels: int = 0) -> int:
     return estimate
 
 
-def _walsh_hadamard(coeffs: np.ndarray) -> np.ndarray:
-    """In place: coeffs[x] <- sum over masks S of coeffs[S] * (-1)^|S & x|.
+def _walsh_hadamard(num_qubits: int, masks, coeffs, dtype) -> np.ndarray:
+    """sum over i of coeffs[i] * (-1)^|masks[i] & x|, for every x < 2^num_qubits.
 
-    ``coeffs`` is a float64 or integer vector of length 2^n indexed by
-    qubit mask; an integer one must hold every partial sum (see
-    ``ising._integer_levels``).  Each of the n butterfly passes maps a pair
-    (a, b) split by one index bit to (a + b, a - b), through one temporary
-    of half the length and of the input's type.
+    ``coeffs`` go into a zero vector of ``dtype`` at the distinct ``masks``,
+    the one place anything is placed by qubit mask; an integer ``dtype`` must
+    hold every partial sum (see ``ising._integer_levels``).  Each of the n
+    butterfly passes maps a pair (a, b) split by one index bit to (a + b,
+    a - b) in place, through one temporary of half the length and of ``dtype``.
     """
-    half = coeffs.size >> 1
-    diff = np.empty(half, dtype=coeffs.dtype)
+    table = np.zeros(1 << num_qubits, dtype)
+    table[masks] = coeffs
+    half = table.size >> 1
+    diff = np.empty(half, dtype)
     stride = 1
     while stride <= half:
-        pairs = coeffs.reshape(-1, 2, stride)
+        pairs = table.reshape(-1, 2, stride)
         lo, hi = pairs[:, 0, :], pairs[:, 1, :]
         tmp = diff.reshape(lo.shape)
         np.subtract(lo, hi, out=tmp)
         lo += hi
         hi[...] = tmp
         stride <<= 1
-    return coeffs
-
-
-def _parity_table(coeffs: dict[int, float]) -> np.ndarray:
-    """sum over masks S of coeffs[S] * (-1)^|S & x|, tabulated over the masks' support.
-
-    The support is the bits set in any mask, ascending.  The table holds
-    2^len(support) sums: entry y holds the sum for every x whose support
-    bits, packed in that order, read y.  Bits outside the support do not
-    change the sum, so one Walsh-Hadamard transform of 2^|support| entries
-    replaces one of 2^n.
-    """
-    union = 0
-    for mask in coeffs:
-        union |= mask
-    support = [q for q in range(union.bit_length()) if (union >> q) & 1]
-    _check_memory("parity table", len(support))
-    table = np.zeros(1 << len(support))
-    for mask, coeff in coeffs.items():
-        table[sum(1 << i for i, q in enumerate(support) if (mask >> q) & 1)] += coeff
-    return _walsh_hadamard(table)
+    return table
 
 
 def _product_state(phi: np.ndarray, out: np.ndarray) -> np.ndarray:

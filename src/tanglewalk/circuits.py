@@ -13,17 +13,19 @@ as a GF(2) linear form of the input bits and sums each diagonal gate's
 angle per parity (mask) it rotates about.  ``verify_equivalence`` (Amy,
 Maslov & Mosca, IEEE TCAD 2014), the one check of both compilers' output,
 cuts circuits at each RY and replays the segments in turn, so no circuit
-is ever simulated densely.
+is ever simulated densely; any relative phases it tabulates are
+``ising.diagonal`` of a segment's residues, packed onto their support.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dense import _parity_table
 from .errors import DomainError
+from .ising import IsingPolynomial, diagonal
 
 ROTATION_GATES = {"RY", "RZ", "RZZ", "MULTIRZ"}
 PLAIN_GATES = {"CX", "SWAP"}
@@ -43,8 +45,8 @@ class Gate:
     def __post_init__(self):
         name = self.name
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if name in ROTATION_GATES and self.theta is None:
-            raise DomainError(f"{name} requires an angle")
+        if name in ROTATION_GATES and (self.theta is None or not math.isfinite(self.theta)):
+            raise DomainError(f"{name} requires a finite angle, got {self.theta!r}")
         if name in PLAIN_GATES and self.theta is not None:
             raise DomainError(f"{name} takes no angle")
         if name not in KNOWN_GATES:
@@ -174,9 +176,19 @@ def _is_global_phase(angles_a: dict[int, float], angles_b: dict[int, float]) -> 
             residues[mask] = diff
     if sum(abs(r) for r in residues.values()) <= PHASE_TOLERANCE / 2:
         return True
+    # Bits outside the residues' support do not change a relative phase, so
+    # the phases are the energies of the residues packed onto that support.
+    union = 0
+    for mask in residues:
+        union |= mask
+    support = [q for q in range(union.bit_length()) if (union >> q) & 1]
+    packed = {
+        tuple(i for i, q in enumerate(support) if (mask >> q) & 1): r
+        for mask, r in residues.items()
+    }
     # |1 - e^{-i delta}| = 2 |sin(delta / 2)|, computed in the table itself
     # so the check peaks where the transform does
-    table = _parity_table(residues)
+    table = diagonal(IsingPolynomial(len(support), packed))
     table -= table[0]
     table *= 0.5
     np.sin(table, out=table)
@@ -198,8 +210,8 @@ def verify_equivalence(a, b) -> bool:
     For that, each nonzero-mask d_S is reduced modulo pi, since a multiple
     of pi shifts every basis state's phase by the same amount mod 2 pi.  If
     the residues sum to at most tol/2, tol = ``PHASE_TOLERANCE``, no relative
-    phase moves by more than tol.  Otherwise one Walsh-Hadamard transform over
-    the residues' support (within _dense.MEMORY_BUDGET) gives every relative
+    phase moves by more than tol.  Otherwise ``ising.diagonal`` of the residues
+    over their support (within _dense.MEMORY_BUDGET) gives every relative
     phase delta(x), and the segments agree when each |1 - e^{-i delta(x)}| is
     at most tol, measured from x = 0.  tol applies per segment.  After the
     last segment, the forms at the final layouts must match and every

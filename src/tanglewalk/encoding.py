@@ -15,6 +15,7 @@ to a valid walk; penalty terms make everything else more expensive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,8 +106,8 @@ def encode_qubo(
       * frequency: sum_v (sum_t x[t,2v] + x[t,2v+1] - w(v))^2
     """
     layout = QuboLayout(T, g.node_count)
-    if one_hot_penalty <= 0 or edge_penalty <= 0:
-        raise DomainError("penalty multipliers must be positive")
+    if not (0 < one_hot_penalty < math.inf and 0 < edge_penalty < math.inf):
+        raise DomainError("penalty multipliers must be positive and finite")
     poly = BinaryPolynomial(layout.num_vars)
     top = g.num_oriented
 
@@ -158,8 +159,8 @@ def encode_hubo(
     no indicator fires, so the edge bracket contributes its full penalty.
     """
     layout = HuboLayout.for_graph(g, T)
-    if edge_penalty <= 0:
-        raise DomainError("edge penalty must be positive")
+    if not 0 < edge_penalty < math.inf:
+        raise DomainError("penalty multipliers must be positive and finite")
     poly = BinaryPolynomial(layout.num_vars)
 
     indicators: dict[tuple[int, int], BinaryPolynomial] = {}

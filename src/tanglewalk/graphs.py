@@ -132,6 +132,8 @@ def enumerate_optimal_walks(
     """
     if T < 1:
         raise DomainError(f"walk length must be >= 1, got {T}")
+    if sequence_cap < 1:
+        raise DomainError(f"enumeration cap must be >= 1, got {sequence_cap}")
     if g.num_oriented**T > sequence_cap:
         raise SizeCapError(
             f"(2N)^T = {g.num_oriented ** T} exceeds enumeration cap {sequence_cap}"

@@ -8,18 +8,18 @@ reproduce the binary cost exactly (dyadic-rational arithmetic).
 ``to_ising`` collects the Z terms through ``polynomials._accumulate``; the
 ``IsingPolynomial`` it builds is a frozen, validated value.
 
-``diagonal`` scatters the constant and the term coefficients into a
-vector indexed by qubit mask and applies one in-place fast Walsh-Hadamard
-transform (Fino & Algazi, IEEE Trans. Computers 1976) in O(n * 2^n) time
-whatever the term count.  The result is bit-identical to summing the
-terms one by one whenever every coefficient is dyadic and every partial
-sum is exact, which holds for all encodings built from
-integer weights and dyadic penalties.  Otherwise the energies can differ
-from a term-by-term sum in the last bits, by rounding of order
-n * eps * (|constant| + sum |coeff|).
+``diagonal`` hands the constant and the term coefficients, by qubit mask,
+to one fast Walsh-Hadamard transform (``_dense._walsh_hadamard``; Fino &
+Algazi, IEEE Trans. Computers 1976) in O(n * 2^n) time whatever the term
+count; the verifier's relative phases are ``diagonal`` of its residues.
+The result is bit-identical to summing the terms one by one whenever
+every coefficient is dyadic and every partial sum is exact, which holds
+for all encodings built from integer weights and dyadic penalties.
+Otherwise the energies can differ from a term-by-term sum in the last
+bits, by rounding of order n * eps * (|constant| + sum |coeff|).
 
 ``_integer_levels`` gives the solver the same energies as levels
-(distinct values and each state's index) from one int32 transform.
+(distinct values and each state's index) from the same transform in int32.
 Every float is an integer over a power of two, so some smallest 2^k
 makes the constant and all the coefficients integers; call the sum of
 their magnitudes S.  Every partial sum of the butterfly is a signed sum
@@ -47,7 +47,8 @@ from .polynomials import BinaryPolynomial, Monomial, _accumulate
 class IsingPolynomial:
     """constant + sum over qubit sets S of coeff_S * prod_{i in S} Z_i.
 
-    Each key of ``terms`` is a non-empty sorted tuple of distinct qubits.
+    Each key of ``terms`` is a non-empty sorted tuple of distinct qubits;
+    the constant and every coefficient are finite.
     """
 
     num_qubits: int
@@ -58,12 +59,14 @@ class IsingPolynomial:
         n = self.num_qubits
         if n < 0:
             raise DomainError(f"num_qubits must be >= 0, got {n}")
+        if not math.isfinite(self.constant):
+            raise DomainError(f"the constant {self.constant!r} is not finite")
         for key, coeff in self.terms.items():
             ints = type(key) is tuple and all(type(q) is int for q in key)
             if not (ints and key and list(key) == sorted(set(key)) and 0 <= key[0] <= key[-1] < n):
                 raise DomainError(f"Z term {key!r} is not sorted distinct qubits in [0, {n})")
-            if coeff == 0:
-                raise DomainError(f"Z term {key!r} has a zero coefficient")
+            if coeff == 0 or not math.isfinite(coeff):
+                raise DomainError(f"Z term {key!r} has a zero or non-finite coefficient {coeff!r}")
 
 
 def to_ising(p: BinaryPolynomial) -> IsingPolynomial:
@@ -84,15 +87,17 @@ def to_ising(p: BinaryPolynomial) -> IsingPolynomial:
     return IsingPolynomial(p.num_vars, terms, constant)
 
 
+def _masks(h: IsingPolynomial) -> list[int]:
+    """0 for the constant, then each term's qubit mask, in ``h.terms`` order."""
+    return [0, *(sum(1 << q for q in qubits) for qubits in h.terms)]
+
+
 def diagonal(h: IsingPolynomial) -> np.ndarray:
     """Vector of all 2^n basis energies, index bit i = value of qubit i; none is -0.0."""
     n = h.num_qubits
     _check_memory("diagonal", n)
-    coeffs = np.zeros(1 << n)
-    coeffs[0] = h.constant + 0.0  # a transform of +0.0 and nonzeros yields no -0.0
-    for qubits, coeff in h.terms.items():
-        coeffs[sum(1 << q for q in qubits)] = coeff
-    return _walsh_hadamard(coeffs)
+    # a transform of +0.0 and nonzeros yields no -0.0
+    return _walsh_hadamard(n, _masks(h), [h.constant + 0.0, *h.terms.values()], np.float64)
 
 
 def _integer_levels(h: IsingPolynomial) -> tuple[np.ndarray, np.ndarray] | None:
@@ -105,18 +110,12 @@ def _integer_levels(h: IsingPolynomial) -> tuple[np.ndarray, np.ndarray] | None:
     present is that state's level.
     """
     coeffs = [h.constant, *h.terms.values()]
-    if not all(math.isfinite(c) for c in coeffs):
-        return None
     ratios = [float(c).as_integer_ratio() for c in coeffs]  # each denominator a power of 2
     k = max(den.bit_length() for _, den in ratios) - 1
     ints = [num << (k + 1 - den.bit_length()) for num, den in ratios]
     if 2 * sum(map(abs, ints)) >= 1 << min(h.num_qubits, 31):
         return None
-    energies = np.zeros(1 << h.num_qubits, dtype=np.int32)
-    energies[0] = ints[0]
-    for qubits, coeff in zip(h.terms, ints[1:]):
-        energies[sum(1 << q for q in qubits)] = coeff
-    _walsh_hadamard(energies)
+    energies = _walsh_hadamard(h.num_qubits, _masks(h), ints, np.int32)
     low = int(energies.min())
     energies -= low
     present = np.zeros(int(energies.max()) + 1, dtype=bool)

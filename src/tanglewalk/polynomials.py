@@ -9,6 +9,7 @@ Coefficients stay exact Python ints whenever the inputs are integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -88,7 +89,7 @@ class BinaryPolynomial:
             variables, coeff = entry["vars"], entry["c"]
             if not (isinstance(variables, list) and all(isinstance(v, int) for v in variables)):
                 raise DomainError(f"terms[{i}].vars = {variables!r} is not a list of integers")
-            if not isinstance(coeff, (int, float)):
-                raise DomainError(f"terms[{i}].c = {coeff!r} is not a number")
+            if not (isinstance(coeff, (int, float)) and -math.inf < coeff < math.inf):
+                raise DomainError(f"terms[{i}].c = {coeff!r} is not a finite number")
             poly.add_term(variables, coeff)
         return poly

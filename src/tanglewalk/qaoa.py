@@ -299,6 +299,8 @@ class RunConfig:
             raise DomainError(f"epsilon must lie in [0, 0.5), got {self.epsilon}")
         if self.seed < 0:
             raise DomainError(f"run seed must be >= 0, got {self.seed}")
+        if self.target_energy is not None and not math.isfinite(self.target_energy):
+            raise DomainError(f"target energy must be finite, got {self.target_energy}")
 
 
 @dataclass

@@ -7,7 +7,9 @@ Two oracles check ``verify_equivalence``'s contract by pushing every
 embedded logical basis state through both circuits:
 ``basis_phase_equivalent`` as concrete wire bits plus a phase, for
 CX/SWAP/diagonal circuits, and ``dense_equivalent`` as amplitudes, one
-k-qubit gate matrix at a time, for circuits with RY.  The compiler oracles
+k-qubit gate matrix at a time, for circuits with RY;
+``popcount_phase_error`` evaluates one segment's residues per mask, state
+by state over their support, for ``_is_global_phase``.  The compiler oracles
 at the end are the original full-rescan layout search, greedy plan
 ordering, candidate-ranking parity planner and list-rescanning CX
 canceller, kept as the reference the fast paths must match, and
@@ -33,6 +35,7 @@ store, the reference ``to_ising`` must match in key order and bits.
 
 from __future__ import annotations
 
+import cmath
 import collections
 import itertools
 from dataclasses import dataclass
@@ -245,6 +248,23 @@ def basis_phase_equivalent(a, b, tol: float = 1e-8) -> bool:
         return False
     delta = phase_a - phase_b
     return bool(np.max(np.abs(1 - np.exp(-1j * (delta - delta[0])))) <= tol)
+
+
+def popcount_phase_error(residues: dict[int, float]) -> float:
+    """max over x of |1 - e^{-i (delta(x) - delta(0))}|, delta(x) = sum r_S (-1)^popcount(S & x).
+
+    ``residues`` maps qubit masks S to angles r_S.  x runs over every
+    assignment of the bits set in some mask; no other bit changes delta.
+    """
+    support = sorted({q for mask in residues for q in range(mask.bit_length()) if mask >> q & 1})
+    worst = 0.0
+    for y in range(1 << len(support)):
+        x = sum(1 << q for i, q in enumerate(support) if y >> i & 1)
+        delta = 0.0
+        for mask, r in residues.items():
+            delta += -r if bin(mask & x).count("1") % 2 else r
+        worst = max(worst, abs(1 - cmath.exp(-1j * (delta - sum(residues.values())))))
+    return worst
 
 
 def dense_equivalent(a, b, tol: float = 1e-8) -> bool:

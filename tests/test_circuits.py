@@ -1,4 +1,5 @@
 import time
+from math import asin
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from tanglewalk import (
 )
 from tanglewalk.transpile import cost_layer_gates
 
-from helpers import basis_phase_equivalent, dense_equivalent
+from tanglewalk.circuits import PHASE_TOLERANCE, _is_global_phase
+
+from helpers import basis_phase_equivalent, dense_equivalent, popcount_phase_error
 from test_acceptance import grid_for, hubo_layers, planted_instances
 
 
@@ -43,6 +46,12 @@ class TestGateValidation:
     def test_rotation_needs_angle(self):
         with pytest.raises(DomainError):
             Gate("RZ", (0,))
+
+    @pytest.mark.parametrize("name,qubits", [("RZ", (0,)), ("RY", (1,)), ("MULTIRZ", (0, 2))])
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+    def test_rotation_needs_finite_angle(self, name, qubits, theta):
+        with pytest.raises(DomainError, match="finite angle"):
+            Gate(name, qubits, theta)
 
     def test_cx_takes_no_angle(self):
         with pytest.raises(DomainError):
@@ -241,11 +250,51 @@ class TestSymbolicVerifier:
         triple.gates[2] = Gate("RZZ", (0, 1), -np.pi + 1e-3)
         assert both_verifiers(triple, CircuitIR(2)) == (False, False)
 
+    @pytest.mark.parametrize("support", [(0, 5, 17), (1, 2, 9, 30), (3, 12, 13, 20, 41)])
+    def test_relative_phases_match_popcount_oracle(self, support):
+        # Residue maps over gapped supports: global phases (multiples of pi,
+        # pi/2 triples), a shift that moves the largest relative phase to
+        # 0.999 or 1.001 of the tolerance, and maps of arbitrary residues.
+        rng = np.random.default_rng(len(support))
+        near = asin(PHASE_TOLERANCE / 2)
+
+        def mask():
+            bits = rng.choice(support, int(rng.integers(1, len(support) + 1)), replace=False)
+            return sum(1 << int(q) for q in bits)
+
+        outcomes = []
+        for trial in range(60):
+            residues = {}
+            if trial % 4 == 3:
+                for _ in range(int(rng.integers(1, 6))):
+                    residues[mask()] = float(rng.uniform(-3, 3))
+            else:
+                for _ in range(int(rng.integers(0, 4))):
+                    a, b = mask(), mask()
+                    if a & b:
+                        residues[a] = residues.get(a, 0.0) + np.pi * int(rng.integers(-3, 4))
+                    else:  # pi/2 (chi_a + chi_b - chi_ab)
+                        for m, r in ((a, np.pi / 2), (b, np.pi / 2), (a | b, -np.pi / 2)):
+                            residues[m] = residues.get(m, 0.0) + r
+                # split over masks sharing one bit, so some x flips every part
+                shift = near * (0.999 if trial % 4 else 1.001) * rng.choice([-1, 1])
+                common = 1 << int(rng.choice(support))
+                for part in np.diff([0, *sorted(rng.uniform(0, 1, 2)), 1]) * shift:
+                    m = mask() | common
+                    residues[m] = residues.get(m, 0.0) + part
+                error = popcount_phase_error(residues)
+                assert abs(error / PHASE_TOLERANCE - 1) < 2e-3, residues
+            residues = {m: r for m, r in residues.items() if r}
+            expected = popcount_phase_error(residues) <= PHASE_TOLERANCE
+            assert _is_global_phase(residues, {}) == expected, residues
+            outcomes.append(expected)
+        assert 15 <= sum(outcomes) <= 45  # both verdicts, many times
+
     def test_residue_support_over_budget(self):
         # 2^29 relative phases would not fit the memory budget: refused at once.
         wide = CircuitIR(29, [Gate("MULTIRZ", tuple(range(29)), 1.0)])
         start = time.perf_counter()
-        with pytest.raises(SizeCapError, match="parity table over 29 qubits"):
+        with pytest.raises(SizeCapError, match="diagonal over 29 qubits"):
             verify_equivalence(wide, CircuitIR(29))
         assert time.perf_counter() - start < 1
 

@@ -63,6 +63,11 @@ class TestOracle:
     def test_cap_exit_code(self, tangle2_file):
         assert main(["oracle", tangle2_file, "--length", "20", "--cap", "10"]) == 4
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_domain_error(self, tangle2_file, capsys, cap):
+        assert main(["oracle", tangle2_file, "--cap", cap]) == 3
+        assert "enumeration cap must be >= 1" in capsys.readouterr().err
+
 
 class TestEncode:
     def test_hubo_meta(self, tangle2_file, tmp_path):
@@ -529,6 +534,10 @@ SMALL = ["--seed", "1", "--nodes", "2", "--max-weight", "1"]
             ["pipeline", "--config", "exp.toml"], {"exp.toml": b"shots = true\n"},
             id="config-boolean",
         ),
+        pytest.param(
+            ["pipeline", "--config", "exp.toml"], {"exp.toml": b"target = nan\n"},
+            id="config-target-nan",
+        ),
         pytest.param(["oracle", "."], {}, id="graph-is-a-directory"),
         pytest.param(["oracle", "bad.json"], {"bad.json": b"{not json"}, id="invalid-json"),
         pytest.param(["oracle", "bad.json"], {"bad.json": b"\xff\xfe"}, id="not-utf8"),
@@ -542,7 +551,10 @@ def test_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, argv, fi
     assert capsys.readouterr().err.startswith("error: ")
 
 
-RUN_SETTINGS = [["--shots", "0"], ["--iters", "0"], ["--alpha", "0"], ["--alpha", "1.5"]]
+RUN_SETTINGS = [
+    ["--shots", "0"], ["--iters", "0"], ["--alpha", "0"], ["--alpha", "1.5"],
+    ["--target", "nan"], ["--target", "inf"],
+]
 BAD_SCHEDULES = {  # each subcommand's schedule flags, one bad value each
     "solve": [["--p", "0"], ["--dbeta", "inf"], ["--dgamma", "nan"]],
     "pipeline": [["--p", "0"], ["--dbeta", "nan"], ["--dgamma", "inf"]],
@@ -578,6 +590,35 @@ def test_bad_run_setting_is_config_error(
         argv = [command, "--graph", tangle2_file]
     assert main([*argv, *setting, "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tangle2.json"]
+
+
+@pytest.mark.parametrize(
+    "command,penalty",
+    [
+        ("encode", ["--kind", "qubo", "--one-hot-penalty", "inf"]),
+        ("encode", ["--kind", "qubo", "--edge-penalty", "nan"]),
+        ("solve", ["--hubo-penalty", "nan"]),
+        ("pipeline", ["--kind", "qubo", "--edge-penalty", "inf"]),
+        ("sweep", ["--hubo-penalty", "nan"]),
+        ("compile", ["--hubo-penalty", "nan"]),
+        ("compile", ["--kind", "qubo", "--one-hot-penalty", "inf"]),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "".join(value),
+)
+def test_non_finite_penalty_is_domain_error(tmp_path, capsys, tangle2_file, command, penalty):
+    # Refused before any term is built, with nothing written.
+    out = tmp_path / "out"
+    if command in ("encode", "solve"):
+        argv = [command, tangle2_file]
+    else:
+        argv = [command, "--graph", tangle2_file]
+    if command == "solve":
+        argv += ["--hist", str(tmp_path / "hist")]
+    elif command == "compile":
+        argv += ["--circuit-out", str(tmp_path / "gates")]
+    assert main([*argv, *penalty, "-o", str(out)]) == 3
+    assert capsys.readouterr().err == "error: penalty multipliers must be positive and finite\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tangle2.json"]
 
 

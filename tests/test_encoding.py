@@ -94,6 +94,16 @@ class TestQuboEncoding:
         with pytest.raises(DomainError):
             encode_qubo(tangle2, 2, one_hot_penalty=0)
 
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
+    def test_rejects_non_finite_penalties(self, tangle2, penalty):
+        for encode in (
+            lambda: encode_qubo(tangle2, 2, one_hot_penalty=penalty),
+            lambda: encode_qubo(tangle2, 2, edge_penalty=penalty),
+            lambda: encode_hubo(tangle2, 2, edge_penalty=penalty),
+        ):
+            with pytest.raises(DomainError, match="positive and finite"):
+                encode()
+
 
 class TestIndicator:
     def test_two_bit_example(self):

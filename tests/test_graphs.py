@@ -99,6 +99,11 @@ class TestOracle:
         with pytest.raises(SizeCapError):
             enumerate_optimal_walks(tangle2, 20, sequence_cap=1000)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_domain_error(self, tangle2, cap):
+        with pytest.raises(DomainError, match="enumeration cap"):
+            enumerate_optimal_walks(tangle2, 1, sequence_cap=cap)
+
     def test_agrees_with_walk_cost(self, tangle2):
         result = enumerate_optimal_walks(tangle2, 3)
         for walk in result.walks:

@@ -88,6 +88,14 @@ def test_json_round_trip_bit_exact():
     assert all(isinstance(c, int) for c in q.terms.values())
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_from_dict_rejects_non_finite_coefficients(token):
+    # Python's json reads these tokens as floats.
+    data = json.loads(f'{{"n_vars": 2, "terms": [{{"vars": [0], "c": {token}}}]}}')
+    with pytest.raises(DomainError, match="finite"):
+        BinaryPolynomial.from_dict(data)
+
+
 def test_from_dict_validation():
     with pytest.raises(DomainError):
         BinaryPolynomial.from_dict({"terms": []})

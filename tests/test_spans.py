@@ -62,3 +62,24 @@ def test_tracer_counts_every_layer(tangle2):
     ]
     assert verify_parents == ["transpile.compile_parity", "transpile.compile_naive", None]
     assert tracer.counts["qaoa.simulate"]["calls"] == len(record.iterations) == 2
+
+
+def test_verifier_phase_table_traces_as_diagonal():
+    # The pi/2 triple off by 1e-3 passes no shortcut: its relative phases are
+    # tabulated by ising.diagonal, inside the verify span.
+    spans = load_spans()
+    triple = tanglewalk.CircuitIR(
+        2,
+        [
+            tanglewalk.Gate("RZ", (0,), np.pi),
+            tanglewalk.Gate("RZ", (1,), np.pi),
+            tanglewalk.Gate("RZZ", (0, 1), -np.pi + 1e-3),
+        ],
+    )
+    with spans.Tracer() as tracer:
+        assert not tanglewalk.verify_equivalence(triple, tanglewalk.CircuitIR(2))
+    names = [span[0] for span in tracer.spans]
+    diagonal_parents = [
+        names[parent] for name, _, _, parent, *_ in tracer.spans if name == "ising.diagonal"
+    ]
+    assert diagonal_parents == ["circuits.verify_equivalence"]

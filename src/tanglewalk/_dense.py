@@ -5,13 +5,18 @@ phase table, ``qaoa.simulate``, ``iterative_qaoa`` and ``sweep``) checks its
 peak-byte estimate against ``MEMORY_BUDGET`` and raises SizeCapError if it
 does not fit.  The mixer layer is cache-blocked as in qHiPSTER
 (arXiv:1601.07195) and the Intel Quantum Simulator (arXiv:2001.10554).
+Within a block, the mixer and the Walsh-Hadamard transform take Pease's
+constant-geometry passes (J. ACM 15(2), 1968): each reads adjacent pairs
+and writes contiguous halves, where a stride loop would read short runs.
 
-Bit-identity rests on three NumPy behaviours (checked on NumPy 2.4.6):
+Bit-identity rests on four NumPy behaviours (checked on NumPy 2.4.6):
 ``np.multiply(g, a)`` and ``np.multiply(a, g)`` round a complex product
 differently, so every product puts the scalar first; an in-place multiply
 of a single complex element takes a scalar loop that rounds differently
-from the vector loop; and NumPy scalars square with other rounding than
-arrays do.
+from the vector loop; NumPy scalars square with other rounding than
+arrays do; and a stride-2 operand (``a[0::2]``) rounds a complex product
+as a contiguous one does, which the constant-geometry passes and
+``_light_cone`` rely on.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ MEMORY_BUDGET = 4 << 30  # bytes any one dense path may peak at
 # _scratch below 19 qubits), a worst case per basis state, and for simulate
 # and sweep 24 per distinct energy (its float64 level and complex phase).
 # They bound tracemalloc peaks at 14-20 qubits.  diagonal (the verifier's
-# too): the float64 vector and a half-length temporary.  simulate: the 16-byte
-# state, an index of up to 4, 1.5 of _scratch, then 8 of |amplitude|^2;
+# too): the float64 vector and a half-length temporary (one chunk below 15
+# qubits).  simulate: the 16-byte state, an index of up to 4, 1.5 of
+# _scratch, then 8 of |amplitude|^2;
 # tabulating the levels peaks near 20 from the float diagonal, and near 13
 # plus 16 per level from integers (the int32 energies, a count table and
 # its ranks of up to 1 + 4, the index), and sample holds a normalised copy
@@ -53,6 +59,10 @@ def _check_memory(path: str, num_qubits: int, levels: int = 0) -> int:
     return estimate
 
 
+_CHUNK_QUBITS = 14  # 2^14 amplitudes and their products fit a 2 MB L2 cache
+_STRIP_WIDTH = 1024  # columns per strip of the (2^(n - 14), 2^14) view
+
+
 def _walsh_hadamard(num_qubits: int, masks, coeffs, dtype) -> np.ndarray:
     """sum over i of coeffs[i] * (-1)^|masks[i] & x|, for every x < 2^num_qubits.
 
@@ -60,17 +70,28 @@ def _walsh_hadamard(num_qubits: int, masks, coeffs, dtype) -> np.ndarray:
     the one place anything is placed by qubit mask; an integer ``dtype`` must
     hold every partial sum (see ``ising._integer_levels``).  Each of the n
     butterfly passes maps a pair (a, b) split by one index bit to (a + b,
-    a - b) in place, through one temporary of half the length and of ``dtype``.
+    a - b).  Bits below ``_CHUNK_QUBITS`` take constant-geometry passes
+    (``_constant_geometry``) one chunk at a time; each higher bit takes one
+    pass in place over (lo, hi) runs of at least 2^_CHUNK_QUBITS entries.
+    The one buffer, of ``dtype``, is half the length, or one chunk if longer.
     """
     table = np.zeros(1 << num_qubits, dtype)
     table[masks] = coeffs
+    low = min(num_qubits, _CHUNK_QUBITS)
     half = table.size >> 1
-    diff = np.empty(half, dtype)
-    stride = 1
+    buf = np.empty(max(half, 1 << low), dtype)
+
+    def butterfly(_, lo, hi, out):
+        np.add(lo, hi, out=out[: lo.size])
+        np.subtract(lo, hi, out=out[lo.size :])
+
+    for chunk in table.reshape(-1, 1 << low):
+        _constant_geometry(chunk, buf[: 1 << low], butterfly, range(low))
+    stride = 1 << low
     while stride <= half:
         pairs = table.reshape(-1, 2, stride)
         lo, hi = pairs[:, 0, :], pairs[:, 1, :]
-        tmp = diff.reshape(lo.shape)
+        tmp = buf[:half].reshape(lo.shape)
         np.subtract(lo, hi, out=tmp)
         lo += hi
         hi[...] = tmp
@@ -101,10 +122,6 @@ def _levels(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return levels, level.astype(np.min_scalar_type(len(levels) - 1))
 
 
-_CHUNK_QUBITS = 14  # 2^14 amplitudes and their products fit a 2 MB L2 cache
-_STRIP_WIDTH = 1024  # columns per strip of the (2^(n - 14), 2^14) view
-
-
 def _table_phase(state: np.ndarray, gamma: float, levels, level, block: np.ndarray):
     """In place: state *= exp(-i gamma E), one exp per distinct energy (``_levels``).
 
@@ -123,14 +140,43 @@ def _table_phase(state: np.ndarray, gamma: float, levels, level, block: np.ndarr
 
 
 def _scratch(n: int) -> np.ndarray:
-    # Three buffers, each the low half of one chunk or strip of _mix_layer.
+    """``_mix_layer``'s three buffers over n qubits, each as long as the greater need.
+
+    Within a chunk, rows 0 and 1 together hold its second copy and row 2
+    one product; across a strip, each row holds one product of its low half.
+    """
     low = min(n, _CHUNK_QUBITS)
     width = max(1 << low >> 1, (1 << n >> low >> 1) * _STRIP_WIDTH, 2)
     return np.empty((3, width), dtype=complex)
 
 
+def _half_butterfly(g0, g1, lo: np.ndarray, hi: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """out = g0 * lo + g1 * hi, rounded as on fresh arrays; ``tmp`` is as long as ``out``."""
+    np.multiply(g0, lo, out=out)
+    np.multiply(g1, hi, out=tmp)
+    out += tmp
+
+
+def _constant_geometry(chunk: np.ndarray, other: np.ndarray, butterfly, args):
+    """In place: one constant-geometry pass (Pease 1968) per bit of ``chunk``'s index, bit 0 first.
+
+    Pass k calls ``butterfly(args[k], lo, hi, out)`` on the adjacent pairs
+    lo = src[0::2], hi = src[1::2] of one buffer, with the other as ``out``:
+    its first half takes the results for bit 0, its second half those for
+    bit 1.  Each pass rotates the index right by one bit, so after one pass
+    per bit the order is natural again.  The passes alternate between
+    ``chunk`` and ``other`` (as long); an odd number ends with one copy back.
+    """
+    src, dst = chunk, other
+    for arg in args:
+        butterfly(arg, src[0::2], src[1::2], dst)
+        src, dst = dst, src
+    if src is not chunk:
+        chunk[...] = src
+
+
 def _mix(pairs: np.ndarray, gate: np.ndarray, block: np.ndarray):
-    """In place: the 2x2 ``gate`` on (lo, hi) = (pairs[:, 0], pairs[:, 1]).
+    """In place: the 2x2 ``gate`` on (lo, hi) = (pairs[:, 0], pairs[:, 1]), a strip's high qubit.
 
     Each of the four products goes to a contiguous slice of ``block``
     before its sum goes back into ``pairs``, and ``lo`` is overwritten
@@ -151,17 +197,24 @@ def _mix_layer(state: np.ndarray, gates, block: np.ndarray):
     """In place: apply ``gates[q]`` to qubit q of a 2^n statevector, for every q.
 
     Qubits below ``_CHUNK_QUBITS`` are mixed one contiguous chunk of
-    2^_CHUNK_QUBITS amplitudes at a time; the others act on the row
-    index of the (2^(n - _CHUNK_QUBITS), 2^_CHUNK_QUBITS) view and are
-    mixed one strip of ``_STRIP_WIDTH`` columns at a time, so each pass over
-    a qubit works on data that stays in cache.  ``block`` is ``_scratch(n)``
-    or wider.
+    2^_CHUNK_QUBITS amplitudes at a time, by constant-geometry passes
+    (``_constant_geometry``) between the chunk and ``block``'s first
+    2^_CHUNK_QUBITS entries, with ``block[2]`` holding one product.  The
+    others act on the row index of the (2^(n - _CHUNK_QUBITS),
+    2^_CHUNK_QUBITS) view and are mixed one strip of ``_STRIP_WIDTH``
+    columns at a time (``_mix``), so each pass over a qubit works on data
+    that stays in cache.  ``block`` is ``_scratch(n)`` or wider.
     """
     low = min(len(gates), _CHUNK_QUBITS)
     rows = state.reshape(-1, 1 << low)
+    other, tmp = block.reshape(-1)[: 1 << low], block[2, : 1 << low >> 1]
+
+    def butterfly(gate, lo, hi, out):
+        _half_butterfly(gate[0, 0], gate[0, 1], lo, hi, out[: lo.size], tmp)
+        _half_butterfly(gate[1, 0], gate[1, 1], lo, hi, out[lo.size :], tmp)
+
     for chunk in rows:
-        for q in range(low):
-            _mix(chunk.reshape(-1, 2, 1 << q), gates[q], block)
+        _constant_geometry(chunk, other, butterfly, gates[:low])
     for start in range(0, rows.shape[1], _STRIP_WIDTH):
         strip = rows[:, start : start + _STRIP_WIDTH]
         for q in range(low, len(gates)):
@@ -192,8 +245,7 @@ def _light_cone(state: np.ndarray, gates, targets, block: np.ndarray) -> np.ndar
         for row, pattern in enumerate(kept):
             b = pattern >> q
             parent_row = rows[parent[pattern & (mask >> 1)]]
-            np.multiply(gate[b, 0], parent_row[0::2], out=tmp)
-            np.multiply(gate[b, 1], parent_row[1::2], out=out[row])
-            np.add(tmp, out[row], out=out[row])
+            lo, hi = parent_row[0::2], parent_row[1::2]
+            _half_butterfly(gate[b, 0], gate[b, 1], lo, hi, out[row], tmp)
         src, patterns = out.reshape(-1), kept
     return src

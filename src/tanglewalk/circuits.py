@@ -145,6 +145,10 @@ def _split_at_ry(gates) -> tuple[list[list[Gate]], list[Gate]]:
 def _angles(gates, forms: list[int]) -> dict[int, float]:
     """theta/2 summed per mask over a replayed run; ``forms`` is updated in place.
 
+    Each theta/2 is added reduced into [-pi/2, pi/2] (``math.remainder``),
+    exact where it already lies there; the pi per mask it may drop is a
+    global phase, and no sum of finite angles overflows.
+
     ``forms[w]``, a bit mask, is wire w's value as a linear form.  CX adds the
     control's form to the target's, SWAP exchanges two forms, and a diagonal
     gate rotates about the XOR of its wires' forms.
@@ -155,7 +159,7 @@ def _angles(gates, forms: list[int]) -> dict[int, float]:
             mask = 0
             for q in g.qubits:
                 mask ^= forms[q]
-            angles[mask] = angles.get(mask, 0.0) + g.theta / 2
+            angles[mask] = angles.get(mask, 0.0) + math.remainder(g.theta / 2, math.pi)
         elif g.name == "CX":
             control, target = g.qubits
             forms[target] ^= forms[control]

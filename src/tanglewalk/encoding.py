@@ -92,6 +92,13 @@ def _add_square(poly: BinaryPolynomial, variables: list[int], target, scale):
             poly.add_term((u, v), scale * 2)
 
 
+def _finite(poly: BinaryPolynomial) -> BinaryPolynomial:
+    """``poly``, or DomainError if a penalty so large made a coefficient overflow."""
+    if not all(-math.inf < coeff < math.inf for coeff in poly.terms.values()):
+        raise DomainError("penalty multipliers too large: a coefficient of the encoding overflows")
+    return poly
+
+
 def encode_qubo(
     g: OrientedGraph,
     T: int,
@@ -122,7 +129,7 @@ def encode_qubo(
     for node in range(g.node_count):
         node_vars = [layout.var(t, 2 * node + o) for t in range(1, T + 1) for o in (0, 1)]
         _add_square(poly, node_vars, g.weights[node], 1)
-    return poly
+    return _finite(poly)
 
 
 def indicator_polynomial(i: int, t: int, layout: HuboLayout) -> BinaryPolynomial:
@@ -182,7 +189,7 @@ def encode_hubo(
             bracket.add_polynomial(ind(t, 2 * node))
             bracket.add_polynomial(ind(t, 2 * node + 1))
         poly.add_polynomial(bracket.multiply(bracket))
-    return poly
+    return _finite(poly)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ field by field, the reference for the JSON of ``dataclasses.asdict``.
 ``OldIsingPolynomial`` and ``old_to_ising`` are the Ising term store and
 substitution as they were before both polynomial types shared one term
 store, the reference ``to_ising`` must match in key order and bits.
+``old_walsh_hadamard`` is the transform as one in-place stride loop,
+before its low bits took constant-geometry passes.
 """
 
 from __future__ import annotations
@@ -918,3 +920,21 @@ def old_to_ising(p) -> OldIsingPolynomial:
             for subset in combinations(mono, r):
                 h.add_term(subset, sign * base)
     return h
+
+
+def old_walsh_hadamard(num_qubits: int, masks, coeffs, dtype) -> np.ndarray:
+    """``_dense._walsh_hadamard`` as one in-place pass per bit over (lo, hi) strides."""
+    table = np.zeros(1 << num_qubits, dtype)
+    table[masks] = coeffs
+    half = table.size >> 1
+    diff = np.empty(half, dtype)
+    stride = 1
+    while stride <= half:
+        pairs = table.reshape(-1, 2, stride)
+        lo, hi = pairs[:, 0, :], pairs[:, 1, :]
+        tmp = diff.reshape(lo.shape)
+        np.subtract(lo, hi, out=tmp)
+        lo += hi
+        hi[...] = tmp
+        stride <<= 1
+    return table

@@ -1,5 +1,5 @@
 import time
-from math import asin
+from math import asin, remainder
 
 import numpy as np
 import pytest
@@ -162,6 +162,15 @@ class TestVerifyEquivalence:
         a = CircuitIR(1, [Gate("RZ", (0,), float(2 * np.pi))])
         b = CircuitIR(1, [])
         assert verify_equivalence(a, b)
+
+    def test_huge_finite_angles_do_not_overflow(self):
+        # Three halves of 1.7e308 sum past the largest float; reduced mod pi
+        # as they are added, they equal one RZ of the reduced total.
+        a = CircuitIR(1, [Gate("RZ", (0,), 1.7e308)] * 3)
+        total = 3 * remainder(1.7e308 / 2, np.pi)
+        assert not verify_equivalence(a, CircuitIR(1))
+        assert verify_equivalence(a, CircuitIR(1, [Gate("RZ", (0,), 2 * total)]))
+        assert not verify_equivalence(a, CircuitIR(1, [Gate("RZ", (0,), 2 * total + 0.1)]))
 
     def test_swapped_wires_are_not_equivalent(self):
         a = CircuitIR(2, [Gate("RZ", (0,), 0.7)])

@@ -622,6 +622,20 @@ def test_non_finite_penalty_is_domain_error(tmp_path, capsys, tangle2_file, comm
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tangle2.json"]
 
 
+@pytest.mark.parametrize("command", ["encode", "solve"])
+@pytest.mark.parametrize(
+    "penalty",
+    [["--kind", "qubo", "--one-hot-penalty", "1e308"], ["--hubo-penalty", "1e308"]],
+    ids=["qubo", "hubo"],
+)
+def test_overflowing_penalty_is_domain_error(tmp_path, capsys, tangle2_file, command, penalty):
+    # Finite flags whose terms sum past the largest float: refused, nothing written.
+    out = tmp_path / "out"
+    assert main([command, tangle2_file, *penalty, "-o", str(out)]) == 3
+    assert "penalty multipliers too large" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tangle2.json"]
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["generate", "--bogus"])

@@ -30,7 +30,7 @@ from tanglewalk import (
 from tanglewalk import qaoa
 from tanglewalk.circuits import _is_global_phase
 from tanglewalk.ising import _integer_levels
-from tanglewalk._dense import MEMORY_BUDGET, _check_memory, _levels
+from tanglewalk._dense import MEMORY_BUDGET, _check_memory, _levels, _walsh_hadamard
 
 import test_acceptance as acceptance
 from helpers import (
@@ -40,6 +40,7 @@ from helpers import (
     ising_energy,
     ising_terms,
     old_to_ising,
+    old_walsh_hadamard,
     parity_energies,
 )
 
@@ -302,6 +303,25 @@ class TestDiagonal:
         T = default_walk_length(g)
         h = to_ising(encode_qubo(g, T) if kind == "qubo" else encode_hubo(g, T))
         assert np.array_equal(diagonal(h), parity_energies(h))
+
+
+class TestWalshHadamard:
+    """The constant-geometry transform gives the bits of the stride loop in helpers.py."""
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_matches_stride_loop(self, n):
+        rng = np.random.default_rng(n)
+        top = 1 << n >> 1
+        sparse = np.unique(np.concatenate([[0, top], rng.integers(0, 1 << n, 40)]))
+        for masks in (sparse, np.arange(1 << n)):
+            for dtype, coeffs in (
+                (np.float64, rng.standard_normal(masks.size)),
+                (np.int32, rng.integers(-1000, 1000, masks.size, dtype=np.int32)),
+            ):
+                got = _walsh_hadamard(n, masks, coeffs, dtype)
+                expected = old_walsh_hadamard(n, masks, coeffs, dtype)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
 
 
 def same_levels(a, b) -> bool:

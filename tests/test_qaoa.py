@@ -308,8 +308,11 @@ class TestMixLayer:
                 gates = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(n)]
             expected = state.copy()
             old_mix_layer(expected, gates)
-            _dense._mix_layer(state, gates, _dense._scratch(n))
-            assert same_bits(state, expected)
+            # simulate's block, and sweep's, whose rows are half the state long
+            for block in (_dense._scratch(n), np.empty((3, max(1 << n >> 1, 2)), complex)):
+                mixed = state.copy()
+                _dense._mix_layer(mixed, gates, block)
+                assert same_bits(mixed, expected)
 
     def test_gates_built_once_per_distinct_angle(self, monkeypatch):
         built = []

@@ -3,11 +3,14 @@
 Before allocating, each dense path (``ising.diagonal``, also the verifier's
 phase table, ``qaoa.simulate``, ``iterative_qaoa`` and ``sweep``) checks its
 peak-byte estimate against ``MEMORY_BUDGET`` and raises SizeCapError if it
-does not fit.  The mixer layer is cache-blocked as in qHiPSTER
-(arXiv:1601.07195) and the Intel Quantum Simulator (arXiv:2001.10554).
-Within a block, the mixer and the Walsh-Hadamard transform take Pease's
+does not fit.  The mixer layer and the Walsh-Hadamard transform share one
+butterfly driver, ``_passes``, cache-blocked as in qHiPSTER
+(arXiv:1601.07195) and the Intel Quantum Simulator (arXiv:2001.10554): the
+low index bits one 2^14-entry chunk at a time, the high bits one column
+strip of the (2^(n-14), 2^14) view at a time.  Both blocks take Pease's
 constant-geometry passes (J. ACM 15(2), 1968): each reads adjacent pairs
-and writes contiguous halves, where a stride loop would read short runs.
+(of entries, or of rows) and writes contiguous halves, where a stride loop
+would read short runs.
 
 Bit-identity rests on four NumPy behaviours (checked on NumPy 2.4.6):
 ``np.multiply(g, a)`` and ``np.multiply(a, g)`` round a complex product
@@ -30,15 +33,16 @@ MEMORY_BUDGET = 4 << 30  # bytes any one dense path may peak at
 # _scratch below 19 qubits), a worst case per basis state, and for simulate
 # and sweep 24 per distinct energy (its float64 level and complex phase).
 # They bound tracemalloc peaks at 14-20 qubits.  diagonal (the verifier's
-# too): the float64 vector and a half-length temporary (one chunk below 15
-# qubits).  simulate: the 16-byte state, an index of up to 4, 1.5 of
-# _scratch, then 8 of |amplitude|^2;
-# tabulating the levels peaks near 20 from the float diagonal, and near 13
-# plus 16 per level from integers (the int32 energies, a count table and
-# its ranks of up to 1 + 4, the index), and sample holds a normalised copy
-# of the distribution and int64 counts beside it.  sweep: the state,
-# _light_cone's stages (24, which serve as its _scratch) and the index.
-_PEAK_BYTES_PER_STATE = {"diagonal": 12, "simulate": 30, "sweep": 44}
+# too): the float64 vector and one strip of its passes, 1 (a 128 KiB chunk
+# up to 17 qubits).  simulate: the 16-byte state, an index of up to 4, 1.5
+# of _scratch, then 8 of |amplitude|^2; tabulating the levels peaks near 20
+# plus 8 per level from the float diagonal (its vector and an int64 index,
+# not the transform), and near 13 plus 16 per level from integers (the
+# int32 energies, a count table and its ranks of up to 1 + 4, the index),
+# and sample holds a normalised copy of the distribution and int64 counts
+# beside it.  sweep: the state, _light_cone's stages (24, which serve as
+# its _scratch) and the index.
+_PEAK_BYTES_PER_STATE = {"diagonal": 9, "simulate": 30, "sweep": 44}
 _PEAK_BYTES_PER_LEVEL = 24
 
 
@@ -60,7 +64,7 @@ def _check_memory(path: str, num_qubits: int, levels: int = 0) -> int:
 
 
 _CHUNK_QUBITS = 14  # 2^14 amplitudes and their products fit a 2 MB L2 cache
-_STRIP_WIDTH = 1024  # columns per strip of the (2^(n - 14), 2^14) view
+_STRIP_BYTES = 16 << 10  # per row of a column strip of the (2^(n - 14), 2^14) view
 
 
 def _walsh_hadamard(num_qubits: int, masks, coeffs, dtype) -> np.ndarray:
@@ -69,33 +73,18 @@ def _walsh_hadamard(num_qubits: int, masks, coeffs, dtype) -> np.ndarray:
     ``coeffs`` go into a zero vector of ``dtype`` at the distinct ``masks``,
     the one place anything is placed by qubit mask; an integer ``dtype`` must
     hold every partial sum (see ``ising._integer_levels``).  Each of the n
-    butterfly passes maps a pair (a, b) split by one index bit to (a + b,
-    a - b).  Bits below ``_CHUNK_QUBITS`` take constant-geometry passes
-    (``_constant_geometry``) one chunk at a time; each higher bit takes one
-    pass in place over (lo, hi) runs of at least 2^_CHUNK_QUBITS entries.
-    The one buffer, of ``dtype``, is half the length, or one chunk if longer.
+    butterfly passes (``_passes``) maps a pair (a, b) split by one index bit
+    to (a + b, a - b) through one buffer of ``dtype`` (``_copy_length``).
     """
     table = np.zeros(1 << num_qubits, dtype)
     table[masks] = coeffs
-    low = min(num_qubits, _CHUNK_QUBITS)
-    half = table.size >> 1
-    buf = np.empty(max(half, 1 << low), dtype)
+    buf = np.empty(_copy_length(num_qubits, table.itemsize), dtype)
 
     def butterfly(_, lo, hi, out):
-        np.add(lo, hi, out=out[: lo.size])
-        np.subtract(lo, hi, out=out[lo.size :])
+        np.add(lo, hi, out=out[: len(lo)])
+        np.subtract(lo, hi, out=out[len(lo) :])
 
-    for chunk in table.reshape(-1, 1 << low):
-        _constant_geometry(chunk, buf[: 1 << low], butterfly, range(low))
-    stride = 1 << low
-    while stride <= half:
-        pairs = table.reshape(-1, 2, stride)
-        lo, hi = pairs[:, 0, :], pairs[:, 1, :]
-        tmp = buf[:half].reshape(lo.shape)
-        np.subtract(lo, hi, out=tmp)
-        lo += hi
-        hi[...] = tmp
-        stride <<= 1
+    _passes(table, buf, butterfly, range(num_qubits))
     return table
 
 
@@ -142,11 +131,10 @@ def _table_phase(state: np.ndarray, gamma: float, levels, level, block: np.ndarr
 def _scratch(n: int) -> np.ndarray:
     """``_mix_layer``'s three buffers over n qubits, each as long as the greater need.
 
-    Within a chunk, rows 0 and 1 together hold its second copy and row 2
-    one product; across a strip, each row holds one product of its low half.
+    Rows 0 and 1 together hold ``_passes``'s second copy, and row 2 one
+    product, half as long.
     """
-    low = min(n, _CHUNK_QUBITS)
-    width = max(1 << low >> 1, (1 << n >> low >> 1) * _STRIP_WIDTH, 2)
+    width = max(_copy_length(n, 16), 4) >> 1  # complex128
     return np.empty((3, width), dtype=complex)
 
 
@@ -158,14 +146,15 @@ def _half_butterfly(g0, g1, lo: np.ndarray, hi: np.ndarray, out: np.ndarray, tmp
 
 
 def _constant_geometry(chunk: np.ndarray, other: np.ndarray, butterfly, args):
-    """In place: one constant-geometry pass (Pease 1968) per bit of ``chunk``'s index, bit 0 first.
+    """In place: one constant-geometry pass (Pease 1968) per bit of ``chunk``'s first index.
 
-    Pass k calls ``butterfly(args[k], lo, hi, out)`` on the adjacent pairs
-    lo = src[0::2], hi = src[1::2] of one buffer, with the other as ``out``:
-    its first half takes the results for bit 0, its second half those for
-    bit 1.  Each pass rotates the index right by one bit, so after one pass
-    per bit the order is natural again.  The passes alternate between
-    ``chunk`` and ``other`` (as long); an odd number ends with one copy back.
+    Pass k, bit 0 first, calls ``butterfly(args[k], lo, hi, out)`` on the
+    adjacent pairs lo = src[0::2], hi = src[1::2] of one buffer (entries of
+    a chunk, rows of a strip), with the other as ``out``: its first len(lo)
+    take the results for bit 0, the rest those for bit 1.  Each pass rotates
+    the index right by one bit, so after one pass per bit the order is
+    natural again.  The passes alternate between ``chunk`` and ``other`` (as
+    long); an odd number ends with one copy back.
     """
     src, dst = chunk, other
     for arg in args:
@@ -175,50 +164,50 @@ def _constant_geometry(chunk: np.ndarray, other: np.ndarray, butterfly, args):
         chunk[...] = src
 
 
-def _mix(pairs: np.ndarray, gate: np.ndarray, block: np.ndarray):
-    """In place: the 2x2 ``gate`` on (lo, hi) = (pairs[:, 0], pairs[:, 1]), a strip's high qubit.
+def _copy_length(n: int, itemsize: int) -> int:
+    """Entries of ``_passes``'s second copy over 2^n entries: one chunk or one strip, the longer."""
+    return max(1 << min(n, _CHUNK_QUBITS), (1 << n >> _CHUNK_QUBITS) * (_STRIP_BYTES // itemsize))
 
-    Each of the four products goes to a contiguous slice of ``block``
-    before its sum goes back into ``pairs``, and ``lo`` is overwritten
-    only once no product needs it, so every amplitude is computed exactly as
-    ``gate[b, 0] * lo + gate[b, 1] * hi`` on fresh arrays would be.
+
+def _passes(array: np.ndarray, other: np.ndarray, butterfly, args):
+    """In place: a ``_constant_geometry`` pass over every index bit of ``array``.
+
+    ``array`` holds 2^len(args) entries, and bit k's pass takes ``args[k]``.
+    Bits below ``_CHUNK_QUBITS`` are passed over one contiguous chunk of
+    2^_CHUNK_QUBITS entries at a time.  The others index the rows of the
+    (2^(n - _CHUNK_QUBITS), 2^_CHUNK_QUBITS) view, passed over one column
+    strip of ``_STRIP_BYTES`` per row at a time: there ``lo`` and ``hi`` are
+    pairs of rows and ``out`` splits into halves of rows, so every pass
+    works on long contiguous runs that stay in cache.
+    ``other``, contiguous and of ``array``'s dtype, holds the second copy, of
+    at least ``_copy_length`` entries.
     """
-    lo, hi = pairs[:, 0], pairs[:, 1]
-    t0, t1, t2 = (buf[: lo.size].reshape(lo.shape) for buf in block)
-    np.multiply(gate[0, 0], lo, out=t0)
-    np.multiply(gate[0, 1], hi, out=t1)
-    np.multiply(gate[1, 0], lo, out=t2)
-    np.add(t0, t1, out=lo)
-    np.multiply(gate[1, 1], hi, out=t0)
-    np.add(t2, t0, out=hi)
+    low = min(len(args), _CHUNK_QUBITS)
+    rows = array.reshape(-1, 1 << low)
+    for chunk in rows:
+        _constant_geometry(chunk, other[: 1 << low], butterfly, args[:low])
+    if len(rows) == 1:
+        return
+    width = _STRIP_BYTES // array.itemsize
+    for start in range(0, rows.shape[1], width):
+        strip = rows[:, start : start + width]
+        _constant_geometry(strip, other[: strip.size].reshape(strip.shape), butterfly, args[low:])
 
 
 def _mix_layer(state: np.ndarray, gates, block: np.ndarray):
     """In place: apply ``gates[q]`` to qubit q of a 2^n statevector, for every q.
 
-    Qubits below ``_CHUNK_QUBITS`` are mixed one contiguous chunk of
-    2^_CHUNK_QUBITS amplitudes at a time, by constant-geometry passes
-    (``_constant_geometry``) between the chunk and ``block``'s first
-    2^_CHUNK_QUBITS entries, with ``block[2]`` holding one product.  The
-    others act on the row index of the (2^(n - _CHUNK_QUBITS),
-    2^_CHUNK_QUBITS) view and are mixed one strip of ``_STRIP_WIDTH``
-    columns at a time (``_mix``), so each pass over a qubit works on data
-    that stays in cache.  ``block`` is ``_scratch(n)`` or wider.
+    One ``_passes`` call ping-pongs the state with ``block``'s rows 0 and 1;
+    each output half is ``gate[b, 0] * lo + gate[b, 1] * hi``, its second
+    product held in ``block[2]``.  ``block`` is ``_scratch(n)`` or wider.
     """
-    low = min(len(gates), _CHUNK_QUBITS)
-    rows = state.reshape(-1, 1 << low)
-    other, tmp = block.reshape(-1)[: 1 << low], block[2, : 1 << low >> 1]
 
     def butterfly(gate, lo, hi, out):
-        _half_butterfly(gate[0, 0], gate[0, 1], lo, hi, out[: lo.size], tmp)
-        _half_butterfly(gate[1, 0], gate[1, 1], lo, hi, out[lo.size :], tmp)
+        tmp = block[2, : lo.size].reshape(lo.shape)
+        _half_butterfly(gate[0, 0], gate[0, 1], lo, hi, out[: len(lo)], tmp)
+        _half_butterfly(gate[1, 0], gate[1, 1], lo, hi, out[len(lo) :], tmp)
 
-    for chunk in rows:
-        _constant_geometry(chunk, other, butterfly, gates[:low])
-    for start in range(0, rows.shape[1], _STRIP_WIDTH):
-        strip = rows[:, start : start + _STRIP_WIDTH]
-        for q in range(low, len(gates)):
-            _mix(strip.reshape(-1, 2, 1 << (q - low), strip.shape[1]), gates[q], block)
+    _passes(state, block[:2].reshape(-1), butterfly, gates)
 
 
 def _light_cone(state: np.ndarray, gates, targets, block: np.ndarray) -> np.ndarray:

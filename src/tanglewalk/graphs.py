@@ -229,21 +229,21 @@ def graph_from_dict(data: dict) -> OrientedGraph:
         if key not in data:
             raise DomainError(f"graph JSON missing required key {key!r}")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"graph JSON field 'n' must be a positive integer, got {n!r}")
     for key in ("weights", "edges"):
         if not isinstance(data[key], list):
             raise DomainError(f"graph JSON field {key!r} must be a list, got {data[key]!r}")
     weights = data["weights"]
     for i, w in enumerate(weights):
-        if not isinstance(w, int) or w < 0:
+        if type(w) is not int or w < 0:
             raise DomainError(f"weights[{i}] = {w!r} is not a non-negative integer")
     edges = []
     for i, pair in enumerate(data["edges"]):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise DomainError(f"edges[{i}] = {pair!r} is not a pair")
         a, b = pair
-        if not (isinstance(a, int) and isinstance(b, int)):
+        if not (type(a) is int and type(b) is int):
             raise DomainError(f"edges[{i}] = {pair!r} has non-integer endpoints")
         if not (0 <= a < 2 * n and 0 <= b < 2 * n):
             raise DomainError(f"edges[{i}] = {pair!r} outside oriented-id range [0, {2 * n})")

@@ -78,7 +78,7 @@ class BinaryPolynomial:
         if not (isinstance(data, dict) and "n_vars" in data and "terms" in data):
             raise DomainError("polynomial JSON must be an object with 'n_vars' and 'terms'")
         num_vars = data["n_vars"]
-        if not isinstance(num_vars, int):
+        if type(num_vars) is not int:
             raise DomainError(f"polynomial JSON field 'n_vars' = {num_vars!r} is not an integer")
         if not isinstance(data["terms"], list):
             raise DomainError("polynomial JSON field 'terms' is not a list")
@@ -87,9 +87,9 @@ class BinaryPolynomial:
             if not (isinstance(entry, dict) and "vars" in entry and "c" in entry):
                 raise DomainError(f"terms[{i}] must carry 'vars' and 'c'")
             variables, coeff = entry["vars"], entry["c"]
-            if not (isinstance(variables, list) and all(isinstance(v, int) for v in variables)):
+            if not (isinstance(variables, list) and all(type(v) is int for v in variables)):
                 raise DomainError(f"terms[{i}].vars = {variables!r} is not a list of integers")
-            if not (isinstance(coeff, (int, float)) and -math.inf < coeff < math.inf):
+            if not (type(coeff) in (int, float) and -math.inf < coeff < math.inf):
                 raise DomainError(f"terms[{i}].c = {coeff!r} is not a finite number")
             poly.add_term(variables, coeff)
         return poly

@@ -258,11 +258,18 @@ def update_prior(
 
     Samples are weighted by exp(-beta_T * E^2); the weighted Z expectation
     per qubit gives p_i = (1 - <Z_i>)/2, clipped to [epsilon, 1-epsilon]
-    to keep exploring.
+    to keep exploring.  A sample whose beta_T * E^2 overflows weighs 0;
+    DomainError if every sample's does.
     """
     if batch.shots == 0:
         raise DomainError("cannot update prior from an empty batch")
-    log_w = -feedback_beta * batch.energies**2
+    least = float(np.abs(batch.energies).min())
+    if not math.isfinite(feedback_beta * (least * least)):
+        raise DomainError(
+            "penalty multipliers too large: beta_T * E^2 overflows for every sampled energy"
+        )
+    with np.errstate(over="ignore"):  # exp(-inf) = 0
+        log_w = -feedback_beta * batch.energies**2
     weights = batch.counts * np.exp(log_w - log_w.max())
     probs = weights / weights.sum()
     z = probs @ (1 - 2 * batch.bit_matrix())

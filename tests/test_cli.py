@@ -636,6 +636,25 @@ def test_overflowing_penalty_is_domain_error(tmp_path, capsys, tangle2_file, com
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tangle2.json"]
 
 
+@pytest.mark.parametrize(
+    "command,flags,code",
+    [("solve", [], 3), ("pipeline", [], 0), ("pipeline", ["--target=-1e300"], 3)],
+    ids=["solve", "pipeline", "pipeline-unreached-target"],
+)
+def test_huge_finite_penalty_warns_nothing(tmp_path, capsys, command, flags, code):
+    # 1e300 passes the encoders, but the energies it gives square past the
+    # largest float.  The first feedback update refuses them; pipeline without
+    # a target meets its optimum in iteration 1, before any update, as it did.
+    graph = str(tmp_path / "g.json")
+    assert main(["generate", "--seed", "2", "--nodes", "2", "--max-weight", "1", "-o", graph]) == 0
+    argv = [command, graph] if command == "solve" else [command, "--graph", graph]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main([*argv, "--kind", "qubo", "--one-hot-penalty", "1e300", *flags])
+    assert status == code
+    assert ("error: penalty multipliers too large" in capsys.readouterr().err) == (code == 3)
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["generate", "--bogus"])

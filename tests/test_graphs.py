@@ -159,6 +159,21 @@ class TestGraphJson:
         with pytest.raises(DomainError, match=r"weights\[1\]"):
             graph_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("n", True, "'n'"),
+            ("weights", [1, True], r"weights\[1\]"),
+            ("edges", [[0, 2], [False, True]], r"edges\[1\]"),
+        ],
+        ids=["n", "weights", "edges"],
+    )
+    def test_rejects_booleans(self, field, value, match):
+        # JSON true and false are not integers, though Python's bool is an int.
+        data = {"n": 2, "weights": [1, 1], "edges": [[0, 2], [3, 1]], field: value}
+        with pytest.raises(DomainError, match=match):
+            graph_from_dict(data)
+
     def test_dict_shape(self, tangle2):
         data = graph_to_dict(tangle2)
         assert data["n"] == 2

@@ -96,6 +96,21 @@ def test_from_dict_rejects_non_finite_coefficients(token):
         BinaryPolynomial.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data,match",
+    [
+        ({"n_vars": True, "terms": []}, "'n_vars'"),
+        ({"n_vars": 2, "terms": [{"vars": [True], "c": 1}]}, r"terms\[0\]\.vars"),
+        ({"n_vars": 2, "terms": [{"vars": [0], "c": True}]}, r"terms\[0\]\.c"),
+    ],
+    ids=["n_vars", "vars", "c"],
+)
+def test_from_dict_rejects_booleans(data, match):
+    # JSON true and false are not numbers, though Python's bool is an int.
+    with pytest.raises(DomainError, match=match):
+        BinaryPolynomial.from_dict(data)
+
+
 def test_from_dict_validation():
     with pytest.raises(DomainError):
         BinaryPolynomial.from_dict({"terms": []})
